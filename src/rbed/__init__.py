@@ -2,107 +2,29 @@
 
 The package bundles a deterministic PRNG, a from-scratch cart-pole
 environment, tabular Q-learning, epsilon schedules, and a harness that
-runs seeded experiments and writes CSV/JSON/SVG artifacts.
+runs seeded experiments and writes CSV/JSON/SVG artifacts. The names below
+are the library entry points; everything else lives in the submodules.
 """
 
-from .agent import AgentParams, Discretizer, new_q_table, q_update, run_episode, select_action
-from .config import (
-    AgentConfig,
-    ConfigError,
-    ConstantConfig,
-    ExperimentConfig,
-    ExponentialConfig,
-    RbedConfig,
-    config_from_dict,
-    config_from_json,
-    config_to_dict,
-    load_config,
-    parse_seed_spec,
-    validate_config,
-)
-from .emit import (
-    emit_compare,
-    emit_figures,
-    emit_results,
-    figures_from_dir,
-    render_figures,
-    report_to_dict,
-)
-from .envs import (
-    CartPoleState,
-    StepOutcome,
-    TabularCartPole,
-    TabularChain,
-    TerminalStepError,
-    cartpole_reset,
-    cartpole_step,
-    chain_reset,
-    chain_step,
-)
-from .metrics import (
-    AggregateCurves,
-    EpisodeRecord,
-    RunResult,
-    aggregate_runs,
-    rolling_mean,
-    solve_count,
-    solved_at,
-)
+from .config import ConfigError, config_from_dict, load_config
+from .emit import emit_compare, figures_from_dir
+from .metrics import RunResult, aggregate_runs, rolling_mean, solved_at
 from .rng import Rng
-from .runner import ArmReport, ComparisonReport, compare, run_experiment, run_single_seed
-from .schedules import ConstantSchedule, ExponentialSchedule, RbedSchedule, Schedule
+from .runner import compare, run_experiment
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentConfig",
-    "AgentParams",
-    "AggregateCurves",
-    "ArmReport",
-    "CartPoleState",
-    "ComparisonReport",
     "ConfigError",
-    "ConstantConfig",
-    "ConstantSchedule",
-    "Discretizer",
-    "EpisodeRecord",
-    "ExperimentConfig",
-    "ExponentialConfig",
-    "ExponentialSchedule",
-    "RbedConfig",
-    "RbedSchedule",
     "Rng",
     "RunResult",
-    "Schedule",
-    "StepOutcome",
-    "TabularCartPole",
-    "TabularChain",
-    "TerminalStepError",
     "aggregate_runs",
-    "cartpole_reset",
-    "cartpole_step",
-    "chain_reset",
-    "chain_step",
     "compare",
     "config_from_dict",
-    "config_from_json",
-    "config_to_dict",
     "emit_compare",
-    "emit_figures",
-    "emit_results",
     "figures_from_dir",
     "load_config",
-    "new_q_table",
-    "parse_seed_spec",
-    "q_update",
-    "render_figures",
-    "report_to_dict",
     "rolling_mean",
-    "run_episode",
     "run_experiment",
-    "run_single_seed",
-    "select_action",
-    "solve_count",
     "solved_at",
-    "validate_config",
 ]

@@ -140,10 +140,10 @@ def run_episode(
     """One rollout from reset to termination with epsilon held fixed.
 
     Q is updated in place after every step. Schedules advance between
-    episodes, never inside one. Endings the environment flags as truncated
-    (time ran out, state still fine) are not treated as value-terminal:
-    the update bootstraps through them so step caps do not poison the
-    values of healthy states.
+    episodes, never inside one. Endings the environment flags in its
+    ``truncated`` attribute (time ran out, state still fine) are not treated
+    as value-terminal: the update bootstraps through them so step caps do
+    not poison the values of healthy states.
     """
     s = env.reset(rng)
     total = 0.0
@@ -152,7 +152,7 @@ def run_episode(
     while not done:
         a = select_action(q, s, epsilon, rng)
         s_next, reward, done = env.step(a)
-        terminal = done and not getattr(env, "truncated", False)
+        terminal = done and not env.truncated
         q_update(q, s, a, reward, s_next, terminal, params)
         total += reward
         steps += 1

@@ -2,125 +2,27 @@
 
 ``{}`` is a valid config and resolves to the default benchmark setup:
 reward-based decay on cart-pole, 500 episodes, seeds 1..20.
+
+Each field is declared once, below, with its bounds in the field metadata.
+Three walks over ``dataclasses.fields`` parse, validate and serialise every
+config class, so a field added here needs no other code. The walks read
+each ``Field.type``, so this module must not postpone the evaluation of
+annotations (no ``from __future__ import annotations``).
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass, field
+import math
+import operator
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, ClassVar, Union
+from typing import Any, ClassVar, Union, get_args, get_origin
 
 from .agent import DEFAULT_BUCKETS, DEFAULT_CLIPS
+from .schedules import ConstantSchedule, ExponentialSchedule, RbedSchedule
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-@dataclass(frozen=True)
-class RbedConfig:
-    kind: ClassVar[str] = "rbed"
-    epsilon_start: float = 1.0
-    epsilon_min: float = 0.0
-    reward_target: float = 195.0
-    reward_increment: float = 1.0
-    reward_threshold_init: float = 0.0
-
-
-@dataclass(frozen=True)
-class ExponentialConfig:
-    kind: ClassVar[str] = "exponential"
-    epsilon_start: float = 1.0
-    # The baseline's constants are artifact conventions, not established
-    # reference values; they are exposed here precisely so they can be varied.
-    decay_rate: float = 0.995
-    epsilon_min: float = 0.01
-
-
-@dataclass(frozen=True)
-class ConstantConfig:
-    kind: ClassVar[str] = "constant"
-    epsilon: float = 1.0
-
-
-SchedulerConfig = Union[RbedConfig, ExponentialConfig, ConstantConfig]
-
-_SCHEDULER_KINDS = {
-    "rbed": RbedConfig,
-    "exponential": ExponentialConfig,
-    "constant": ConstantConfig,
-}
-
-
-@dataclass(frozen=True)
-class AgentConfig:
-    alpha: float = 0.26
-    gamma: float = 1.0
-    buckets: tuple[int, int, int, int] = DEFAULT_BUCKETS
-    clips: tuple[float, float, float, float] = DEFAULT_CLIPS
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    scheduler: SchedulerConfig = field(default_factory=RbedConfig)
-    agent: AgentConfig = field(default_factory=AgentConfig)
-    episodes: int = 500
-    seeds: tuple[int, ...] = tuple(range(1, 21))
-    environment: str = "cartpole"
-    chain_states: int = 5
-
-
-def validate_config(config: ExperimentConfig) -> None:
-    """Raise ConfigError if any field violates its precondition."""
-    if config.episodes < 1:
-        raise ConfigError(f"episodes must be >= 1, got {config.episodes}")
-    if not config.seeds:
-        raise ConfigError("seeds must be nonempty")
-    for seed in config.seeds:
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-            raise ConfigError(f"seeds must be unsigned 64-bit integers, got {seed!r}")
-    if config.environment not in ("cartpole", "chain"):
-        raise ConfigError(f"environment must be 'cartpole' or 'chain', got {config.environment!r}")
-    if config.chain_states < 2:
-        raise ConfigError(f"chain_states must be >= 2, got {config.chain_states}")
-
-    agent = config.agent
-    if not 0.0 < agent.alpha <= 1.0:
-        raise ConfigError(f"agent.alpha must be in (0, 1], got {agent.alpha}")
-    if not 0.0 < agent.gamma <= 1.0:
-        raise ConfigError(f"agent.gamma must be in (0, 1], got {agent.gamma}")
-    if len(agent.buckets) != 4 or any(not isinstance(b, int) or b < 1 for b in agent.buckets):
-        raise ConfigError(f"agent.buckets must be 4 integers >= 1, got {agent.buckets!r}")
-    if len(agent.clips) != 4 or any(c <= 0 for c in agent.clips):
-        raise ConfigError(f"agent.clips must be 4 positive numbers, got {agent.clips!r}")
-
-    sched = config.scheduler
-    if isinstance(sched, RbedConfig):
-        if sched.reward_target <= 0:
-            raise ConfigError(f"scheduler.reward_target must be > 0, got {sched.reward_target}")
-        if sched.reward_increment <= 0:
-            raise ConfigError(
-                f"scheduler.reward_increment must be > 0, got {sched.reward_increment}"
-            )
-        if not 0.0 <= sched.epsilon_min <= sched.epsilon_start <= 1.0:
-            raise ConfigError(
-                "scheduler needs 0 <= epsilon_min <= epsilon_start <= 1, got "
-                f"epsilon_min={sched.epsilon_min}, epsilon_start={sched.epsilon_start}"
-            )
-    elif isinstance(sched, ExponentialConfig):
-        if not 0.0 < sched.decay_rate < 1.0:
-            raise ConfigError(f"scheduler.decay_rate must be in (0, 1), got {sched.decay_rate}")
-        if not 0.0 <= sched.epsilon_min <= sched.epsilon_start <= 1.0:
-            raise ConfigError(
-                "scheduler needs 0 <= epsilon_min <= epsilon_start <= 1, got "
-                f"epsilon_min={sched.epsilon_min}, epsilon_start={sched.epsilon_start}"
-            )
-    elif isinstance(sched, ConstantConfig):
-        if not 0.0 <= sched.epsilon <= 1.0:
-            raise ConfigError(f"scheduler.epsilon must be in [0, 1], got {sched.epsilon}")
-    else:
-        raise ConfigError(f"unknown scheduler config {sched!r}")
 
 
 def parse_seed_spec(spec: str) -> tuple[int, ...]:
@@ -141,109 +43,199 @@ def parse_seed_spec(spec: str) -> tuple[int, ...]:
         raise ConfigError(f"bad seed list {spec!r}") from exc
 
 
+def _field(default: Any, **bounds: Any) -> Any:
+    """A config field and its bounds.
+
+    Bounds are ``ge``/``gt``/``le``/``lt`` (a number, or the name of a
+    sibling field), ``choices``, and ``from_str`` (a parser for a JSON
+    string standing in for a list). On a tuple field they apply to each item.
+    """
+    return field(default=default, metadata=bounds)
+
+
+@dataclass(frozen=True)
+class RbedConfig:
+    kind: ClassVar[str] = "rbed"
+    epsilon_start: float = _field(1.0, ge=0.0, le=1.0)
+    epsilon_min: float = _field(0.0, ge=0.0, le="epsilon_start")
+    reward_target: float = _field(195.0, gt=0.0)
+    reward_increment: float = _field(1.0, gt=0.0)
+    reward_threshold_init: float = 0.0
+
+    def schedule(self) -> RbedSchedule:
+        return RbedSchedule.for_target(
+            reward_target=self.reward_target,
+            epsilon_start=self.epsilon_start,
+            epsilon_min=self.epsilon_min,
+            reward_increment=self.reward_increment,
+            reward_threshold=self.reward_threshold_init,
+        )
+
+
+@dataclass(frozen=True)
+class ExponentialConfig:
+    kind: ClassVar[str] = "exponential"
+    epsilon_start: float = _field(1.0, ge=0.0, le=1.0)
+    # The baseline's constants are artifact conventions, not established
+    # reference values; they are exposed here precisely so they can be varied.
+    decay_rate: float = _field(0.995, gt=0.0, lt=1.0)
+    epsilon_min: float = _field(0.01, ge=0.0, le="epsilon_start")
+
+    def schedule(self) -> ExponentialSchedule:
+        return ExponentialSchedule(
+            epsilon=self.epsilon_start, decay_rate=self.decay_rate, epsilon_min=self.epsilon_min
+        )
+
+
+@dataclass(frozen=True)
+class ConstantConfig:
+    kind: ClassVar[str] = "constant"
+    epsilon: float = _field(1.0, ge=0.0, le=1.0)
+
+    def schedule(self) -> ConstantSchedule:
+        return ConstantSchedule(epsilon=self.epsilon)
+
+
+SchedulerConfig = Union[RbedConfig, ExponentialConfig, ConstantConfig]
+
+_SCHEDULER_KINDS = {
+    "rbed": RbedConfig,
+    "exponential": ExponentialConfig,
+    "constant": ConstantConfig,
+}
+
+
+@dataclass(frozen=True)
+class AgentConfig:
+    alpha: float = _field(0.26, gt=0.0, le=1.0)
+    gamma: float = _field(1.0, gt=0.0, le=1.0)
+    buckets: tuple[int, int, int, int] = _field(DEFAULT_BUCKETS, ge=1)
+    clips: tuple[float, float, float, float] = _field(DEFAULT_CLIPS, gt=0.0)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    scheduler: SchedulerConfig = field(default_factory=RbedConfig)
+    agent: AgentConfig = field(default_factory=AgentConfig)
+    episodes: int = _field(500, ge=1)
+    # A variable-length tuple is a nonempty list of distinct items.
+    seeds: tuple[int, ...] = _field(tuple(range(1, 21)), ge=0, lt=2**64, from_str=parse_seed_spec)
+    environment: str = _field("cartpole", choices=("cartpole", "chain"))
+    chain_states: int = _field(5, ge=2)
+
+
+_COMPARISONS = {
+    "ge": (operator.ge, ">="),
+    "gt": (operator.gt, ">"),
+    "le": (operator.le, "<="),
+    "lt": (operator.lt, "<"),
+}
+
+
+def _join(where: str, name: str) -> str:
+    return f"{where}.{name}" if where else name
+
+
+def _check_item(item_type: type, value: Any, bounds: dict, owner: Any, name: str) -> None:
+    if item_type is str:
+        ok, wanted = isinstance(value, str), "a string"
+    elif item_type is int:
+        ok, wanted = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok, wanted = ok and math.isfinite(value), "a finite number"
+    if not ok:
+        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+    if "choices" in bounds and value not in bounds["choices"]:
+        raise ConfigError(f"{name} must be one of {list(bounds['choices'])}, got {value!r}")
+    for key, (compare, symbol) in _COMPARISONS.items():
+        if key not in bounds:
+            continue
+        limit = label = bounds[key]
+        if isinstance(limit, str):  # a sibling field: epsilon_min <= epsilon_start
+            limit = getattr(owner, limit)
+            label = f"{label} ({limit!r})"
+        if not compare(value, limit):
+            raise ConfigError(f"{name} must be {symbol} {label}, got {value!r}")
+
+
+def _check_fields(config: Any, where: str) -> None:
+    for f in fields(config):
+        value, name = getattr(config, f.name), _join(where, f.name)
+        if get_origin(f.type) is Union or is_dataclass(f.type):
+            classes = get_args(f.type) or (f.type,)
+            if not isinstance(value, classes):
+                wanted = " or ".join(c.__name__ for c in classes)
+                raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+            _check_fields(value, name)
+        elif get_origin(f.type) is tuple:
+            items = get_args(f.type)
+            if not isinstance(value, tuple):
+                raise ConfigError(f"{name} must be a list, got {value!r}")
+            for i, item in enumerate(value):
+                _check_item(items[0], item, f.metadata, config, f"{name}[{i}]")
+            if items[-1] is not Ellipsis:
+                if len(value) != len(items):
+                    raise ConfigError(f"{name} must have {len(items)} items, got {value!r}")
+            elif not value or len(set(value)) != len(value):
+                raise ConfigError(f"{name} must be nonempty with distinct items, got {value!r}")
+        else:
+            _check_item(f.type, value, f.metadata, config, name)
+
+
+def validate_config(config: ExperimentConfig) -> None:
+    """Raise ConfigError naming the first field that breaks its declared
+    type or bounds; numbers must be finite."""
+    _check_fields(config, "")
+
+
 def _require_mapping(value: Any, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be an object, got {type(value).__name__}")
     return value
 
 
-def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-def _number(d: dict, key: str, default: float, where: str) -> float:
-    value = d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(d: dict, key: str, default: int, where: str) -> int:
-    value = d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+def _parse_value(hint: Any, value: Any, bounds: dict, name: str) -> Any:
+    if get_origin(hint) is Union:
+        kind = _require_mapping(value, name).get("kind", "rbed")
+        if kind not in _SCHEDULER_KINDS:
+            raise ConfigError(
+                f"{name}.kind must be one of {sorted(_SCHEDULER_KINDS)}, got {kind!r}"
+            )
+        return _parse(_SCHEDULER_KINDS[kind], value, name)
+    if is_dataclass(hint):
+        return _parse(hint, value, name)
+    if get_origin(hint) is tuple:
+        if isinstance(value, str) and "from_str" in bounds:
+            value = bounds["from_str"](value)
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_parse_value(get_args(hint)[0], item, bounds, name) for item in value)
+    if hint is float and type(value) is int:
+        # JSON writes 1.0 as 1; keep float fields float so outputs are stable.
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} must be a finite number, got {value}") from None
     return value
 
 
-def _scheduler_from_dict(d: dict) -> SchedulerConfig:
-    kind = d.get("kind", "rbed")
-    if kind not in _SCHEDULER_KINDS:
-        raise ConfigError(
-            f"scheduler.kind must be one of {sorted(_SCHEDULER_KINDS)}, got {kind!r}"
-        )
-    if kind == "rbed":
-        _reject_unknown(
-            d,
-            {"kind", "epsilon_start", "epsilon_min", "reward_target", "reward_increment",
-             "reward_threshold_init"},
-            "scheduler",
-        )
-        return RbedConfig(
-            epsilon_start=_number(d, "epsilon_start", 1.0, "scheduler"),
-            epsilon_min=_number(d, "epsilon_min", 0.0, "scheduler"),
-            reward_target=_number(d, "reward_target", 195.0, "scheduler"),
-            reward_increment=_number(d, "reward_increment", 1.0, "scheduler"),
-            reward_threshold_init=_number(d, "reward_threshold_init", 0.0, "scheduler"),
-        )
-    if kind == "exponential":
-        _reject_unknown(d, {"kind", "epsilon_start", "decay_rate", "epsilon_min"}, "scheduler")
-        return ExponentialConfig(
-            epsilon_start=_number(d, "epsilon_start", 1.0, "scheduler"),
-            decay_rate=_number(d, "decay_rate", 0.995, "scheduler"),
-            epsilon_min=_number(d, "epsilon_min", 0.01, "scheduler"),
-        )
-    _reject_unknown(d, {"kind", "epsilon"}, "scheduler")
-    return ConstantConfig(epsilon=_number(d, "epsilon", 1.0, "scheduler"))
-
-
-def _agent_from_dict(d: dict) -> AgentConfig:
-    _reject_unknown(d, {"alpha", "gamma", "buckets", "clips"}, "agent")
-    buckets = d.get("buckets", list(DEFAULT_BUCKETS))
-    if (
-        not isinstance(buckets, (list, tuple))
-        or len(buckets) != 4
-        or any(isinstance(b, bool) or not isinstance(b, int) for b in buckets)
-    ):
-        raise ConfigError(f"agent.buckets must be a list of 4 integers, got {buckets!r}")
-    clips = d.get("clips", list(DEFAULT_CLIPS))
-    if (
-        not isinstance(clips, (list, tuple))
-        or len(clips) != 4
-        or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in clips)
-    ):
-        raise ConfigError(f"agent.clips must be a list of 4 numbers, got {clips!r}")
-    return AgentConfig(
-        alpha=_number(d, "alpha", 0.26, "agent"),
-        gamma=_number(d, "gamma", 1.0, "agent"),
-        buckets=tuple(buckets),
-        clips=tuple(float(c) for c in clips),
-    )
+def _parse(cls: type, data: Any, where: str) -> Any:
+    d = _require_mapping(data, where or "config")
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(set(d) - names - ({"kind"} if hasattr(cls, "kind") else set()))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where or 'config'}: {', '.join(unknown)}")
+    return cls(**{
+        f.name: _parse_value(f.type, d[f.name], f.metadata, _join(where, f.name))
+        for f in fields(cls)
+        if f.name in d
+    })
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a parsed JSON object."""
-    d = _require_mapping(data, "config")
-    _reject_unknown(
-        d, {"scheduler", "agent", "episodes", "seeds", "environment", "chain_states"}, "config"
-    )
-    seeds = d.get("seeds", list(range(1, 21)))
-    if isinstance(seeds, str):
-        seeds = parse_seed_spec(seeds)
-    elif not isinstance(seeds, (list, tuple)):
-        raise ConfigError(f"seeds must be a list of integers or a range string, got {seeds!r}")
-    environment = d.get("environment", "cartpole")
-    if not isinstance(environment, str):
-        raise ConfigError(f"environment must be a string, got {environment!r}")
-    config = ExperimentConfig(
-        scheduler=_scheduler_from_dict(_require_mapping(d.get("scheduler", {}), "scheduler")),
-        agent=_agent_from_dict(_require_mapping(d.get("agent", {}), "agent")),
-        episodes=_integer(d, "episodes", 500, "config"),
-        seeds=tuple(seeds),
-        environment=environment,
-        chain_states=_integer(d, "chain_states", 5, "config"),
-    )
+    config = _parse(ExperimentConfig, data, "")
     validate_config(config)
     return config
 
@@ -260,38 +252,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_json(Path(path).read_text(encoding="utf-8"))
 
 
-def scheduler_to_dict(sched: SchedulerConfig) -> dict:
-    if isinstance(sched, RbedConfig):
-        return {
-            "kind": "rbed",
-            "epsilon_start": sched.epsilon_start,
-            "epsilon_min": sched.epsilon_min,
-            "reward_target": sched.reward_target,
-            "reward_increment": sched.reward_increment,
-            "reward_threshold_init": sched.reward_threshold_init,
-        }
-    if isinstance(sched, ExponentialConfig):
-        return {
-            "kind": "exponential",
-            "epsilon_start": sched.epsilon_start,
-            "decay_rate": sched.decay_rate,
-            "epsilon_min": sched.epsilon_min,
-        }
-    return {"kind": "constant", "epsilon": sched.epsilon}
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
+def config_to_dict(config: Any) -> dict:
     """Fully resolved form, round-trippable through config_from_dict."""
-    return {
-        "scheduler": scheduler_to_dict(config.scheduler),
-        "agent": {
-            "alpha": config.agent.alpha,
-            "gamma": config.agent.gamma,
-            "buckets": list(config.agent.buckets),
-            "clips": list(config.agent.clips),
-        },
-        "episodes": config.episodes,
-        "seeds": list(config.seeds),
-        "environment": config.environment,
-        "chain_states": config.chain_states,
-    }
+    out = {"kind": config.kind} if hasattr(config, "kind") else {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            value = config_to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out

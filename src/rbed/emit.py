@@ -133,27 +133,16 @@ def render_figures(
         s for s in (_rolling_series(label, c) for label, c in labeled_curves) if s is not None
     ]
     window = labeled_curves[0][1].window
-    if rolling_series:
-        rolling = line_chart(
-            title=f"Rolling mean reward (window {window})",
-            x_label="episode",
-            y_label=f"mean reward, last {window} episodes",
-            series=rolling_series,
-            y_min=0.0,
-            ref_y=solved_threshold,
-            ref_label=f"solved ({solved_threshold:g})",
-        )
-    else:
-        # Too few episodes for a full window; chart just the reference level.
-        rolling = line_chart(
-            title=f"Rolling mean reward (window {window})",
-            x_label="episode",
-            y_label=f"mean reward, last {window} episodes",
-            series=[Series(label="(no full window)", xs=[1.0], ys=[0.0])],
-            y_min=0.0,
-            ref_y=solved_threshold,
-            ref_label=f"solved ({solved_threshold:g})",
-        )
+    rolling = line_chart(
+        title=f"Rolling mean reward (window {window})",
+        x_label="episode",
+        y_label=f"mean reward, last {window} episodes",
+        # Too few episodes for a full window: chart just the reference level.
+        series=rolling_series or [Series(label="(no full window)", xs=[1.0], ys=[0.0])],
+        y_min=0.0,
+        ref_y=solved_threshold,
+        ref_label=f"solved ({solved_threshold:g})",
+    )
     epsilon = line_chart(
         title="Exploration rate by episode",
         x_label="episode",
@@ -163,21 +152,6 @@ def render_figures(
         y_max=1.0,
     )
     return {"reward.svg": reward, "rolling.svg": rolling, "epsilon.svg": epsilon}
-
-
-def emit_figures(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
-    """Write the three comparison charts for a compare report."""
-    figures = render_figures(
-        [(report.a.label, report.a.curves), (report.b.label, report.b.curves)]
-    )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, svg in figures.items():
-        path = out / name
-        path.write_text(svg, encoding="utf-8", newline="\n")
-        written.append(path)
-    return written
 
 
 def read_aggregate_csv(path: Path) -> AggregateCurves:

@@ -50,6 +50,7 @@ class StepOutcome(NamedTuple):
     state: CartPoleState
     reward: float
     done: bool
+    truncated: bool  # ended only by the step cap, with the pole still up
 
 
 def cartpole_reset(rng) -> CartPoleState:
@@ -76,12 +77,9 @@ def accelerations(theta: float, theta_dot: float, force: float) -> tuple[float, 
     return x_acc, theta_acc
 
 
-def is_terminal(state: CartPoleState) -> bool:
-    return (
-        abs(state.x) > X_THRESHOLD
-        or abs(state.theta) > THETA_THRESHOLD
-        or state.steps_elapsed >= MAX_STEPS
-    )
+def out_of_bounds(x: float, theta: float) -> bool:
+    """The pole fell or the cart left the track: a true, value-terminal end."""
+    return abs(x) > X_THRESHOLD or abs(theta) > THETA_THRESHOLD
 
 
 def cartpole_step(state: CartPoleState, action: int) -> StepOutcome:
@@ -91,7 +89,7 @@ def cartpole_step(state: CartPoleState, action: int) -> StepOutcome:
     accelerations. Termination is evaluated on the post-step state, and the
     terminating step still pays reward 1.0 (200 surviving steps score 200).
     """
-    if is_terminal(state):
+    if state.steps_elapsed >= MAX_STEPS or out_of_bounds(state.x, state.theta):
         raise TerminalStepError("cartpole_step called on a terminal state")
     force = FORCE_MAG if action == RIGHT else -FORCE_MAG
     x_acc, theta_acc = accelerations(state.theta, state.theta_dot, force)
@@ -100,8 +98,14 @@ def cartpole_step(state: CartPoleState, action: int) -> StepOutcome:
     theta = state.theta + TAU * state.theta_dot
     theta_dot = state.theta_dot + TAU * theta_acc
     steps = state.steps_elapsed + 1
-    done = abs(x) > X_THRESHOLD or abs(theta) > THETA_THRESHOLD or steps >= MAX_STEPS
-    return StepOutcome(CartPoleState(x, x_dot, theta, theta_dot, steps), 1.0, done)
+    failed = out_of_bounds(x, theta)
+    capped = steps >= MAX_STEPS
+    return StepOutcome(
+        CartPoleState(x, x_dot, theta, theta_dot, steps),
+        1.0,
+        failed or capped,
+        capped and not failed,
+    )
 
 
 def chain_reset() -> int:
@@ -149,15 +153,9 @@ class TabularCartPole:
         if self._state is None:
             raise TerminalStepError("step before reset")
         outcome = cartpole_step(self._state, action)
-        state = outcome.state
-        self._state = state
-        self.truncated = (
-            outcome.done
-            and state.steps_elapsed >= MAX_STEPS
-            and abs(state.x) <= X_THRESHOLD
-            and abs(state.theta) <= THETA_THRESHOLD
-        )
-        return self.discretizer.index(state), outcome.reward, outcome.done
+        self._state = outcome.state
+        self.truncated = outcome.truncated
+        return self.discretizer.index(outcome.state), outcome.reward, outcome.done
 
 
 class TabularChain:

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .agent import AgentParams, Discretizer, new_q_table, run_episode
-from .config import (
-    ConfigError,
-    ConstantConfig,
-    ExperimentConfig,
-    ExponentialConfig,
-    RbedConfig,
-    SchedulerConfig,
-    validate_config,
-)
+from .config import ConfigError, ExperimentConfig, validate_config
 from .envs import TabularCartPole, TabularChain
 from .metrics import (
     AggregateCurves,
@@ -31,29 +23,8 @@ from .metrics import (
     solved_at,
 )
 from .rng import Rng
-from .schedules import ConstantSchedule, ExponentialSchedule, RbedSchedule, Schedule
 
 REACH_MARK = 200.0  # episode reward regarded as hitting the ceiling
-
-
-def build_schedule(config: SchedulerConfig) -> Schedule:
-    if isinstance(config, RbedConfig):
-        return RbedSchedule.for_target(
-            reward_target=config.reward_target,
-            epsilon_start=config.epsilon_start,
-            epsilon_min=config.epsilon_min,
-            reward_increment=config.reward_increment,
-            reward_threshold=config.reward_threshold_init,
-        )
-    if isinstance(config, ExponentialConfig):
-        return ExponentialSchedule(
-            epsilon=config.epsilon_start,
-            decay_rate=config.decay_rate,
-            epsilon_min=config.epsilon_min,
-        )
-    if isinstance(config, ConstantConfig):
-        return ConstantSchedule(epsilon=config.epsilon)
-    raise ConfigError(f"unknown scheduler config {config!r}")
 
 
 def build_env(config: ExperimentConfig):
@@ -67,7 +38,7 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> RunResult:
     rng = Rng(seed)
     env = build_env(config)
     q = new_q_table(env.n_states, env.n_actions)
-    schedule = build_schedule(config.scheduler)
+    schedule = config.scheduler.schedule()
     params = AgentParams(alpha=config.agent.alpha, gamma=config.agent.gamma)
     records = []
     for episode in range(1, config.episodes + 1):

@@ -4,6 +4,9 @@ Every schedule exposes ``epsilon`` (the exploration probability currently in
 force) and ``update(last_reward)``, which the harness calls exactly once at
 the end of each episode with that episode's total reward. Reward-based decay
 reacts to the reward; exponential and constant schedules ignore it.
+
+Schedules trust their arguments: ``rbed.config`` declares and checks the
+bounds of every schedule parameter before a schedule is built.
 """
 
 from __future__ import annotations
@@ -28,17 +31,6 @@ class RbedSchedule:
     reward_increment: float
     change: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon_min <= self.epsilon <= 1.0:
-            raise ValueError(
-                "need 0 <= epsilon_min <= epsilon <= 1, got "
-                f"epsilon_min={self.epsilon_min}, epsilon={self.epsilon}"
-            )
-        if self.reward_increment <= 0.0:
-            raise ValueError(f"reward_increment must be > 0, got {self.reward_increment}")
-        if self.change < 0.0:
-            raise ValueError(f"change must be >= 0, got {self.change}")
-
     @classmethod
     def for_target(
         cls,
@@ -54,13 +46,6 @@ class RbedSchedule:
         ``epsilon_min`` in exactly ``reward_target`` threshold crossings: by
         the time the threshold ladder reaches the target, exploration is over.
         """
-        if reward_target <= 0.0:
-            raise ValueError(f"reward_target must be > 0, got {reward_target}")
-        if not 0.0 <= epsilon_min <= epsilon_start <= 1.0:
-            raise ValueError(
-                "need 0 <= epsilon_min <= epsilon_start <= 1, got "
-                f"epsilon_min={epsilon_min}, epsilon_start={epsilon_start}"
-            )
         return cls(
             epsilon=epsilon_start,
             epsilon_min=epsilon_min,
@@ -91,15 +76,6 @@ class ExponentialSchedule:
     decay_rate: float
     epsilon_min: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.decay_rate < 1.0:
-            raise ValueError(f"decay_rate must be in (0, 1), got {self.decay_rate}")
-        if not 0.0 <= self.epsilon_min <= self.epsilon <= 1.0:
-            raise ValueError(
-                "need 0 <= epsilon_min <= epsilon <= 1, got "
-                f"epsilon_min={self.epsilon_min}, epsilon={self.epsilon}"
-            )
-
     def update(self, last_reward: float) -> "ExponentialSchedule":
         eps = self.epsilon * self.decay_rate
         if eps < self.epsilon_min:
@@ -112,10 +88,6 @@ class ConstantSchedule:
     """Fixed exploration rate; updates are identity."""
 
     epsilon: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
 
     def update(self, last_reward: float) -> "ConstantSchedule":
         return self

@@ -378,20 +378,3 @@ def test_truncated_ending_bootstraps_through():
     q = [[0.0, 0.0], [8.0, 6.0]]
     run_episode(_TerminalStub(), q, 0.0, params, Rng(1))
     assert q[0][0] == 0.5  # target collapses to the reward
-
-
-def test_rollouts_without_truncated_attribute_still_work():
-    class Bare:
-        n_states = 2
-        n_actions = 2
-
-        def reset(self, rng):
-            return 0
-
-        def step(self, action):
-            return 1, 1.0, True
-
-    q = [[0.0, 0.0], [8.0, 6.0]]
-    rec = run_episode(Bare(), q, 0.0, AgentParams(alpha=0.5, gamma=1.0), Rng(1))
-    assert rec.steps == 1
-    assert q[0][0] == 0.5

@@ -99,6 +99,7 @@ def test_angle_threshold_terminates():
     out = cartpole_step(state, RIGHT)
     assert abs(out.state.theta) > THETA_THRESHOLD
     assert out.done is True
+    assert out.truncated is False
     assert out.reward == 1.0
 
 
@@ -106,6 +107,7 @@ def test_position_threshold_terminates():
     state = CartPoleState(2.39, 1.0, 0.0, 0.0)
     out = cartpole_step(state, RIGHT)
     assert out.done is True
+    assert out.truncated is False
 
 
 def test_step_cap_and_max_score():
@@ -117,10 +119,12 @@ def test_step_cap_and_max_score():
     while not done:
         action = RIGHT if state.theta + state.theta_dot > 0 else LEFT
         out = cartpole_step(state, action)
+        assert out.truncated is out.done  # only the cap may end this run
         state = out.state
         total += out.reward
         done = out.done
     assert state.steps_elapsed == MAX_STEPS
+    assert out.truncated is True
     assert total == 200.0
 
 

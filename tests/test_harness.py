@@ -38,7 +38,6 @@ from rbed.envs import TabularCartPole, TabularChain
 from rbed.metrics import EpisodeRecord, RunResult, aggregate_runs
 from rbed.runner import (
     build_env,
-    build_schedule,
     compare,
     first_reaching,
     run_experiment,
@@ -125,10 +124,19 @@ def test_validation_catches_bad_fields():
         {"agent": {"buckets": [0, 1, 1, 1]}},
         {"agent": {"buckets": [1, 1, 1]}},
         {"agent": {"clips": [1.0, 1.0, 1.0, 0.0]}},
+        {"agent": {"clips": [math.nan, 1.0, 1.0, 1.0]}},
         {"scheduler": {"kind": "exponential", "decay_rate": 1.0}},
+        {"scheduler": {"kind": "exponential", "decay_rate": 0.0}},
+        {"scheduler": {"kind": "exponential", "epsilon_start": 0.5, "epsilon_min": 0.6}},
         {"scheduler": {"kind": "rbed", "reward_target": 0}},
+        {"scheduler": {"kind": "rbed", "reward_target": -5.0}},
+        {"scheduler": {"kind": "rbed", "reward_target": math.inf}},
+        {"scheduler": {"kind": "rbed", "reward_increment": 0.0}},
+        {"scheduler": {"kind": "rbed", "reward_threshold_init": math.nan}},
         {"scheduler": {"kind": "rbed", "epsilon_min": 0.5, "epsilon_start": 0.2}},
         {"scheduler": {"kind": "constant", "epsilon": 1.2}},
+        {"scheduler": {"kind": "constant", "epsilon": -0.1}},
+        {"seeds": "1,1"},
         {"chain_states": 1},
     ]
     for data in bad:
@@ -170,12 +178,12 @@ def test_validate_config_direct():
 
 
 def test_build_schedule_dispatch():
-    rbed = build_schedule(RbedConfig())
+    rbed = RbedConfig().schedule()
     assert isinstance(rbed, RbedSchedule)
     assert rbed.change == pytest.approx(1.0 / 195.0)
-    exp = build_schedule(ExponentialConfig())
+    exp = ExponentialConfig().schedule()
     assert isinstance(exp, ExponentialSchedule)
-    const = build_schedule(ConstantConfig(epsilon=0.25))
+    const = ConstantConfig(epsilon=0.25).schedule()
     assert isinstance(const, ConstantSchedule)
     assert const.epsilon == 0.25
 

@@ -8,7 +8,6 @@ Property tests drive randomized reward sequences against that ledger.
 import dataclasses
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbed.schedules import ConstantSchedule, ExponentialSchedule, RbedSchedule
@@ -34,17 +33,6 @@ def test_init_custom_values():
     assert math.isclose(s.change, 0.004, rel_tol=1e-12)
     assert s.epsilon == 0.5
     assert s.reward_threshold == 10.0
-
-
-def test_init_validation():
-    with pytest.raises(ValueError):
-        RbedSchedule.for_target(0.0)
-    with pytest.raises(ValueError):
-        RbedSchedule.for_target(-5.0)
-    with pytest.raises(ValueError):
-        RbedSchedule.for_target(195.0, epsilon_start=0.3, epsilon_min=0.4)
-    with pytest.raises(ValueError):
-        RbedSchedule.for_target(195.0, reward_increment=0.0)
 
 
 def test_update_fires_on_equal_reward():
@@ -111,27 +99,11 @@ def test_exponential_ignores_reward():
     assert a.update(0.0) == a.update(1e6)
 
 
-def test_exponential_validation():
-    with pytest.raises(ValueError):
-        ExponentialSchedule(1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        ExponentialSchedule(1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        ExponentialSchedule(0.5, 0.9, 0.6)
-
-
 def test_constant_is_identity():
     c = ConstantSchedule(0.1)
     for reward in (0.0, 200.0, -5.0):
         assert c.update(reward) is c
     assert c.epsilon == 0.1
-
-
-def test_constant_validation():
-    with pytest.raises(ValueError):
-        ConstantSchedule(-0.1)
-    with pytest.raises(ValueError):
-        ConstantSchedule(1.5)
 
 
 # -- randomized property suite -------------------------------------------
