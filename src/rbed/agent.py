@@ -8,12 +8,12 @@ a dense table indexed by flat bucket index and action.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .envs import THETA_THRESHOLD
 from .metrics import EpisodeRecord
-from .rng import Rng
+from .rng import _INV_2_53, Rng
 
 QTable = list  # list[list[float]], shape (n_states, n_actions)
 
@@ -44,11 +44,14 @@ class Discretizer:
 
     Each dimension i is clipped to [-clips[i], clips[i]] and split into
     buckets[i] equal cells; the four bucket indices combine in mixed radix,
-    so the flat index is bijective with the bucket tuple.
+    so the flat index is bijective with the bucket tuple. A dimension with a
+    single bucket always contributes 0, so ``index`` reads only the live ones.
     """
 
     buckets: tuple[int, int, int, int] = DEFAULT_BUCKETS
     clips: tuple[float, float, float, float] = DEFAULT_CLIPS
+    # (dimension, clip, 2 * clip, bucket count, mixed-radix stride) per live dimension
+    _live: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.buckets) != 4 or len(self.clips) != 4:
@@ -57,6 +60,12 @@ class Discretizer:
             raise ValueError(f"bucket counts must be >= 1, got {self.buckets}")
         if any(c <= 0.0 for c in self.clips):
             raise ValueError(f"clip ranges must be positive, got {self.clips}")
+        live = tuple(
+            (i, self.clips[i], 2.0 * self.clips[i], self.buckets[i], math.prod(self.buckets[i + 1 :]))
+            for i in range(4)
+            if self.buckets[i] > 1
+        )
+        object.__setattr__(self, "_live", live)
 
     @property
     def n_states(self) -> int:
@@ -64,19 +73,19 @@ class Discretizer:
 
     def index(self, state: Sequence[float]) -> int:
         idx = 0
-        for i in range(4):
+        for i, clip, two_clip, count, stride in self._live:
             value = state[i]
-            clip = self.clips[i]
-            count = self.buckets[i]
             if value <= -clip:
-                bucket = 0
-            elif value >= clip:
+                continue  # bucket 0
+            if value >= clip:
                 bucket = count - 1
             else:
-                bucket = int((value + clip) * count / (2.0 * clip))
+                # not (value + clip) * (count / two_clip): that rounds
+                # differently within a few ulps of a cell edge
+                bucket = int((value + clip) * count / two_clip)
                 if bucket >= count:  # guard the v ~ clip rounding edge
                     bucket = count - 1
-            idx = idx * count + bucket
+            idx += bucket * stride
         return idx
 
 
@@ -90,7 +99,8 @@ def select_action(q: QTable, s: int, epsilon: float, rng: Rng) -> int:
 
     One uniform draw decides explore vs exploit; exploring picks an action
     uniformly, exploiting takes the argmax with ties broken uniformly at
-    random (a further draw happens only on an actual tie).
+    random (a further draw happens only on an actual tie). ``run_episode``
+    inlines this; it stays as the reference the tests hold the loop to.
     """
     row = q[s]
     n = len(row)
@@ -120,7 +130,8 @@ def q_update(
     params: AgentParams,
 ) -> None:
     """One temporal-difference backup, in place. Terminal transitions do not
-    bootstrap from the successor."""
+    bootstrap from the successor. ``run_episode`` inlines this; it stays as
+    the reference the tests hold the loop to."""
     if done:
         target = reward
     else:
@@ -144,16 +155,39 @@ def run_episode(
     ``truncated`` attribute (time ran out, state still fine) are not treated
     as value-terminal: the update bootstraps through them so step caps do
     not poison the values of healthy states.
+
+    Action selection and the backup are written inline for speed; each step
+    draws exactly what ``select_action`` draws and updates exactly as
+    ``q_update`` does, and the tests hold this loop to that composition.
+    Every environment here has two actions, so a uniform action is the low
+    bit of one draw, which equals ``Rng.next_int_below(2)``.
     """
+    if env.n_actions != 2:
+        raise ValueError(f"run_episode needs 2 actions, got {env.n_actions}")
+    u64 = rng.next_u64
+    step = env.step
+    alpha = params.alpha
+    gamma = params.gamma
     s = env.reset(rng)
     total = 0.0
     steps = 0
     done = False
     while not done:
-        a = select_action(q, s, epsilon, rng)
-        s_next, reward, done = env.step(a)
-        terminal = done and not env.truncated
-        q_update(q, s, a, reward, s_next, terminal, params)
+        row = q[s]
+        if (u64() >> 11) * _INV_2_53 < epsilon:
+            a = u64() & 1
+        elif row[1] > row[0]:
+            a = 1
+        elif row[1] == row[0]:
+            a = u64() & 1
+        else:
+            a = 0
+        s_next, reward, done = step(a)
+        if done and not env.truncated:
+            target = reward
+        else:
+            target = reward + gamma * max(q[s_next])
+        row[a] += alpha * (target - row[a])
         total += reward
         steps += 1
         s = s_next

@@ -25,6 +25,9 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+MAX_SEEDS = 1_000_000  # largest seed range parse_seed_spec builds
+
+
 def parse_seed_spec(spec: str) -> tuple[int, ...]:
     """Parse '1..20' (inclusive range), '3,5,9', or a single integer."""
     spec = spec.strip()
@@ -36,6 +39,8 @@ def parse_seed_spec(spec: str) -> tuple[int, ...]:
             raise ConfigError(f"bad seed range {spec!r}") from exc
         if hi < lo:
             raise ConfigError(f"empty seed range {spec!r}")
+        if hi - lo >= MAX_SEEDS:
+            raise ConfigError(f"seeds: range {spec!r} holds more than {MAX_SEEDS} seeds")
         return tuple(range(lo, hi + 1))
     try:
         return tuple(int(part) for part in spec.split(","))

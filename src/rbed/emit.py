@@ -164,16 +164,20 @@ def read_aggregate_csv(path: Path) -> AggregateCurves:
     mean_rolling: list[float] = []
     mean_epsilon: list[float] = []
     window: Optional[int] = None
-    for line in lines[1:]:
+    for expected, line in enumerate(lines[1:], start=1):
         fields = line.split(",")
         if len(fields) != 4:
             raise ValueError(f"{path}: malformed row {line!r}")
         episode = int(fields[0])
+        if episode != expected:
+            raise ValueError(f"{path}: episode {episode} where {expected} was expected")
         mean_reward.append(float(fields[1]))
         if fields[2]:
             if window is None:
                 window = episode
             mean_rolling.append(float(fields[2]))
+        elif window is not None:
+            raise ValueError(f"{path}: blank rolling mean at episode {episode} after episode {window}")
         mean_epsilon.append(float(fields[3]))
     return AggregateCurves(
         mean_reward=tuple(mean_reward),

@@ -142,7 +142,8 @@ class TabularCartPole:
         self.n_states: int = discretizer.n_states
         self.n_actions: int = N_ACTIONS
         self.truncated: bool = False
-        self._state: CartPoleState | None = None
+        # (x, x_dot, theta, theta_dot, steps_elapsed)
+        self._state: tuple[float, float, float, float, int] | None = None
 
     def reset(self, rng) -> int:
         self._state = cartpole_reset(rng)
@@ -150,12 +151,27 @@ class TabularCartPole:
         return self.discretizer.index(self._state)
 
     def step(self, action: int) -> tuple[int, float, bool]:
+        """``cartpole_step`` on plain floats, then the discretizer.
+
+        The tests hold it to ``cartpole_step`` (the same Euler lines, the
+        same ``accelerations`` and ``out_of_bounds``), state for state.
+        """
         if self._state is None:
             raise TerminalStepError("step before reset")
-        outcome = cartpole_step(self._state, action)
-        self._state = outcome.state
-        self.truncated = outcome.truncated
-        return self.discretizer.index(outcome.state), outcome.reward, outcome.done
+        x, x_dot, theta, theta_dot, steps = self._state
+        if steps >= MAX_STEPS or out_of_bounds(x, theta):
+            raise TerminalStepError("step called on a terminal state")
+        x_acc, theta_acc = accelerations(theta, theta_dot, FORCE_MAG if action == RIGHT else -FORCE_MAG)
+        x += TAU * x_dot
+        x_dot += TAU * x_acc
+        theta += TAU * theta_dot
+        theta_dot += TAU * theta_acc
+        steps += 1
+        failed = out_of_bounds(x, theta)
+        capped = steps >= MAX_STEPS
+        self.truncated = capped and not failed
+        state = self._state = (x, x_dot, theta, theta_dot, steps)
+        return self.discretizer.index(state), 1.0, failed or capped
 
 
 class TabularChain:

@@ -53,14 +53,20 @@ def _seed_task(args: tuple[ExperimentConfig, int]) -> RunResult:
     return run_single_seed(*args)
 
 
+def _run_tasks(tasks: Sequence[tuple[ExperimentConfig, int]], jobs: int) -> list[RunResult]:
+    """Run (config, seed) tasks, in one process pool when ``jobs`` > 1.
+    Results follow task order regardless of execution order, so parallel
+    output equals sequential output."""
+    if jobs <= 1 or len(tasks) == 1:
+        return [run_single_seed(config, seed) for config, seed in tasks]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        return list(pool.map(_seed_task, tasks))
+
+
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
-    """Run every seed; results follow the config's seed order regardless of
-    execution order, so parallel output equals sequential output."""
+    """Run every seed; results follow the config's seed order."""
     validate_config(config)
-    if jobs <= 1 or len(config.seeds) == 1:
-        return [run_single_seed(config, seed) for seed in config.seeds]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(config.seeds))) as pool:
-        return list(pool.map(_seed_task, [(config, seed) for seed in config.seeds]))
+    return _run_tasks([(config, seed) for seed in config.seeds], jobs)
 
 
 def first_reaching(records, mark: float = REACH_MARK) -> Optional[int]:
@@ -141,9 +147,11 @@ def compare(
     kind_b = config_b.scheduler.kind
     label_a = kind_a if kind_a != kind_b else f"a:{kind_a}"
     label_b = kind_b if kind_a != kind_b else f"b:{kind_b}"
-    runs_a = run_experiment(config_a, jobs=jobs)
-    runs_b = run_experiment(config_b, jobs=jobs)
-    arm_a = _arm_report(label_a, config_a, runs_a)
-    arm_b = _arm_report(label_b, config_b, runs_b)
+    # one pool over both arms, so no core idles on one arm's slowest seed
+    tasks = [(config, seed) for config in (config_a, config_b) for seed in config_a.seeds]
+    runs = _run_tasks(tasks, jobs)
+    n = len(config_a.seeds)
+    arm_a = _arm_report(label_a, config_a, runs[:n])
+    arm_b = _arm_report(label_b, config_b, runs[n:])
     ratio = arm_a.solve_count / arm_b.solve_count if arm_b.solve_count > 0 else None
     return ComparisonReport(a=arm_a, b=arm_b, solve_ratio=ratio)

@@ -2,10 +2,11 @@
 
 These intentionally re-verify ground the unit suites cover, as a single
 self-contained checklist. Criteria 7 and 8 run the full default comparison
-(20 seeds x 500 episodes x 2 arms) once via a shared fixture; expect a few
-minutes for the module.
+(20 seeds x 500 episodes x 2 arms) once via a shared fixture; the module
+takes about 25 s on one core of a 2-vCPU x86 machine.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -175,6 +176,25 @@ def test_criterion_6_determinism_and_parallel_equivalence(tmp_path):
     assert first == second
     assert first == parallel
     report("PASS criterion 6: repeated compare byte-identical; --jobs 8 equals --jobs 1")
+
+
+def test_shipped_configs_reproduce_reference_digests(tmp_path):
+    # a fixed byte reference: the shipped configs on seeds 1..3, compared
+    # and plotted, must hash to the digests the benchmark checks against
+    out = tmp_path / "results"  # rbed plot labels charts with the directory name
+    cli(
+        "compare",
+        "--config-a", str(CONFIGS / "rbed.json"),
+        "--config-b", str(CONFIGS / "exponential.json"),
+        "--seeds", "1..3",
+        "--jobs", "2",
+        "--out", str(out),
+    )
+    cli("plot", "--in", str(out), "--out", str(out / "figures"))
+    want = json.loads((REPO / "perfbench" / "reference_digests.json").read_text(encoding="utf-8"))
+    got = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()}
+    assert got == want
+    report("PASS golden outputs: seeds 1..3 compare and plot match reference_digests.json")
 
 
 # -- 7 and 8: the benchmark comparison itself ------------------------------------

@@ -1,9 +1,12 @@
 """Discretization, action selection, TD updates, and episode rollouts."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbed.agent import (
+    DEFAULT_CLIPS,
     AgentParams,
     Discretizer,
     new_q_table,
@@ -112,6 +115,47 @@ def test_discretizer_validation():
 def test_index_always_in_range(x, x_dot, theta, theta_dot):
     idx = GRID.index((x, x_dot, theta, theta_dot))
     assert 0 <= idx < GRID.n_states
+
+
+def _parent_index(d, state):
+    """The four-dimension mixed-radix formula, every dimension visited."""
+    idx = 0
+    for i in range(4):
+        value, clip, count = state[i], d.clips[i], d.buckets[i]
+        if value <= -clip:
+            bucket = 0
+        elif value >= clip:
+            bucket = count - 1
+        else:
+            bucket = int((value + clip) * count / (2.0 * clip))
+            if bucket >= count:
+                bucket = count - 1
+        idx = idx * count + bucket
+    return idx
+
+
+@st.composite
+def _grid_and_state(draw):
+    buckets = tuple(draw(st.integers(1, 12)) for _ in range(4))
+    clips = tuple(draw(st.floats(0.01, 10.0)) for _ in range(4))
+    state = []
+    for count, clip in zip(buckets, clips):
+        if draw(st.booleans()):
+            state.append(draw(st.floats(allow_nan=False, allow_infinity=False)))
+        else:
+            # a cell edge (clips included), nudged by a few ulps
+            edge = -clip + draw(st.integers(0, count)) * (2.0 * clip / count)
+            for _ in range(draw(st.integers(0, 4))):
+                edge = math.nextafter(edge, draw(st.sampled_from([-math.inf, math.inf])))
+            state.append(edge)
+    return Discretizer(buckets, clips), tuple(state)
+
+
+@settings(max_examples=500)
+@given(_grid_and_state())
+def test_index_matches_four_dimension_formula(grid_and_state):
+    d, state = grid_and_state
+    assert d.index(state) == _parent_index(d, state)
 
 
 # -- q table and action selection -------------------------------------------
@@ -303,28 +347,39 @@ def test_rollout_deterministic_for_seed():
     assert q_a == q_b
 
 
-def test_rollout_matches_hand_rolled_loop():
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "buckets, clips",
+    [
+        ((1, 1, 7, 9), DEFAULT_CLIPS),
+        ((1, 1, 6, 8), (2.4, 3.0, THETA_THRESHOLD, 2.0)),
+        ((3, 3, 6, 6), DEFAULT_CLIPS),
+    ],
+    ids=["1x1x7x9", "1x1x6x8", "3x3x6x6"],
+)
+def test_rollout_matches_hand_rolled_loop(buckets, clips, epsilon):
     # independent re-implementation of the rollout against the same rng
     # stream: records and tables must agree exactly
     from rbed.envs import MAX_STEPS, X_THRESHOLD, cartpole_reset, cartpole_step
 
-    d = Discretizer((1, 1, 6, 8), (2.4, 3.0, THETA_THRESHOLD, 2.0))
+    d = Discretizer(buckets, clips)
     params = AgentParams(alpha=0.3, gamma=1.0)
+    episodes = 200
 
     env = TabularCartPole(d)
     q = new_q_table(env.n_states, env.n_actions)
     rng = Rng(42)
-    got = [run_episode(env, q, 0.5, params, rng, episode=ep) for ep in range(50)]
+    got = [run_episode(env, q, epsilon, params, rng, episode=ep) for ep in range(episodes)]
 
     q2 = new_q_table(d.n_states, 2)
     rng2 = Rng(42)
     want = []
-    for ep in range(50):
+    for ep in range(episodes):
         state = cartpole_reset(rng2)
         s = d.index(state)
         total, steps, done = 0.0, 0, False
         while not done:
-            a = select_action(q2, s, 0.5, rng2)
+            a = select_action(q2, s, epsilon, rng2)
             out = cartpole_step(state, a)
             state, done = out.state, out.done
             s_next = d.index(state)
@@ -341,6 +396,47 @@ def test_rollout_matches_hand_rolled_loop():
         want.append((ep, total, steps))
     assert [(r.episode, r.total_reward, r.steps) for r in got] == want
     assert q == q2
+    assert rng.next_u64() == rng2.next_u64()  # both consumed the same draws
+    if (buckets, epsilon) == ((1, 1, 7, 9), 0.1):
+        # the bootstrap-through-truncation branch must be exercised
+        assert sum(steps == MAX_STEPS for _, _, steps in want) >= 1
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+def test_chain_rollout_matches_hand_rolled_loop(epsilon):
+    from rbed.envs import chain_reset, chain_step
+
+    params = AgentParams(alpha=0.1, gamma=0.9)
+    env = TabularChain(6)
+    q = new_q_table(env.n_states, env.n_actions)
+    rng = Rng(7)
+    got = [run_episode(env, q, epsilon, params, rng, episode=ep) for ep in range(100)]
+
+    q2 = new_q_table(6, 2)
+    rng2 = Rng(7)
+    want = []
+    for ep in range(100):
+        s = chain_reset()
+        total, steps, done = 0.0, 0, False
+        while not done:
+            a = select_action(q2, s, epsilon, rng2)
+            s_next, reward, done = chain_step(s, a, 6)
+            q_update(q2, s, a, reward, s_next, done, params)
+            total += reward
+            steps += 1
+            s = s_next
+        want.append((ep, total, steps))
+    assert [(r.episode, r.total_reward, r.steps) for r in got] == want
+    assert q == q2
+    assert rng.next_u64() == rng2.next_u64()
+
+
+def test_rollout_rejects_other_action_counts():
+    class ThreeActions(_CappedStub):
+        n_actions = 3
+
+    with pytest.raises(ValueError):
+        run_episode(ThreeActions(), [[0.0] * 3] * 2, 0.0, AgentParams(), Rng(1))
 
 
 class _CappedStub:

@@ -12,6 +12,7 @@ from rbed.envs import (
     THETA_THRESHOLD,
     X_THRESHOLD,
     CartPoleState,
+    TabularCartPole,
     TabularChain,
     TerminalStepError,
     accelerations,
@@ -20,6 +21,7 @@ from rbed.envs import (
     chain_reset,
     chain_step,
 )
+from rbed.agent import Discretizer
 from rbed.rng import Rng
 
 
@@ -126,6 +128,33 @@ def test_step_cap_and_max_score():
     assert state.steps_elapsed == MAX_STEPS
     assert out.truncated is True
     assert total == 200.0
+
+
+def test_tabular_step_matches_cartpole_step():
+    # the adapter's plain-float step against the oracle, state for state,
+    # over random rollouts that end by falling, leaving the track or the cap
+    d = Discretizer((3, 3, 6, 6), (2.4, 3.0, THETA_THRESHOLD, 2.0))
+    env = TabularCartPole(d)
+    rng = Rng(21)
+    endings = set()
+    for _ in range(300):
+        s = env.reset(rng)
+        state = CartPoleState(*env._state)
+        assert s == d.index(state)
+        done = False
+        while not done:
+            # mostly push towards the pole so some runs survive to the cap
+            toward = RIGHT if state.theta + 0.5 * state.theta_dot > 0 else LEFT
+            action = toward if rng.next_f64() < 0.9 else 1 - toward
+            out = cartpole_step(state, action)
+            s, reward, done = env.step(action)
+            assert tuple(env._state) == tuple(out.state)
+            assert (s, reward, done, env.truncated) == (d.index(out.state), out.reward, out.done, out.truncated)
+            state = out.state
+        endings.add("cap" if env.truncated else "x" if abs(state.x) > X_THRESHOLD else "theta")
+        with pytest.raises(TerminalStepError):
+            env.step(RIGHT)
+    assert endings == {"cap", "x", "theta"}
 
 
 def test_stepping_terminal_state_rejected():

@@ -85,6 +85,15 @@ def test_parse_seed_spec_rejects_bad_input():
             parse_seed_spec(bad)
 
 
+def test_parse_seed_spec_bounds_ranges_before_building():
+    # a range this long would exhaust memory if it were materialised
+    for huge in ("0..1000000000000000", "0..1000000"):
+        with pytest.raises(ConfigError, match="seeds"):
+            parse_seed_spec(huge)
+    with pytest.raises(ConfigError, match="seeds"):
+        config_from_dict({"seeds": "0..1000000000000000"})
+
+
 def test_seeds_accept_string_form():
     assert config_from_dict({"seeds": "4..6"}).seeds == (4, 5, 6)
     assert config_from_dict({"seeds": [9, 2]}).seeds == (9, 2)
@@ -381,6 +390,23 @@ def test_read_aggregate_rejects_foreign_csv(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
         read_aggregate_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["1,1.0,,1.0", "2,1.0,,1.0", "4,1.0,1.0,1.0"], "episode 4 where 3"),
+        (["1,1.0,,1.0", "2,1.0,1.0,1.0", "3,1.0,,1.0"], "blank rolling mean at episode 3"),
+    ],
+    ids=["episode_gap", "rolling_gap"],
+)
+def test_read_aggregate_rejects_damaged_rows(tmp_path, capsys, rows, message):
+    path = tmp_path / "aggregate.csv"
+    path.write_text("\n".join([AGGREGATE_HEADER, *rows]) + "\n")
+    with pytest.raises(ValueError, match=message):
+        read_aggregate_csv(path)
+    assert main(["plot", "--in", str(tmp_path), "--out", str(tmp_path / "figs")]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_report_json_structure(tmp_path):
