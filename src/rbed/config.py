@@ -26,6 +26,8 @@ class ConfigError(ValueError):
 
 
 MAX_SEEDS = 1_000_000  # largest seed range parse_seed_spec builds
+MAX_STATES = 1_000_000  # largest Q-table, in states, a config may ask for
+MAX_CLIP = 1e6  # keeps the discretizer's 2 * clip * buckets finite
 
 
 def parse_seed_spec(spec: str) -> tuple[int, ...]:
@@ -53,7 +55,8 @@ def _field(default: Any, **bounds: Any) -> Any:
 
     Bounds are ``ge``/``gt``/``le``/``lt`` (a number, or the name of a
     sibling field), ``choices``, and ``from_str`` (a parser for a JSON
-    string standing in for a list). On a tuple field they apply to each item.
+    string standing in for a list). On a tuple field they apply to each item,
+    and ``max_product`` bounds the product of the items.
     """
     return field(default=default, metadata=bounds)
 
@@ -114,8 +117,8 @@ _SCHEDULER_KINDS = {
 class AgentConfig:
     alpha: float = _field(0.26, gt=0.0, le=1.0)
     gamma: float = _field(1.0, gt=0.0, le=1.0)
-    buckets: tuple[int, int, int, int] = _field(DEFAULT_BUCKETS, ge=1)
-    clips: tuple[float, float, float, float] = _field(DEFAULT_CLIPS, gt=0.0)
+    buckets: tuple[int, int, int, int] = _field(DEFAULT_BUCKETS, ge=1, max_product=MAX_STATES)
+    clips: tuple[float, float, float, float] = _field(DEFAULT_CLIPS, gt=0.0, le=MAX_CLIP)
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ class ExperimentConfig:
     # A variable-length tuple is a nonempty list of distinct items.
     seeds: tuple[int, ...] = _field(tuple(range(1, 21)), ge=0, lt=2**64, from_str=parse_seed_spec)
     environment: str = _field("cartpole", choices=("cartpole", "chain"))
-    chain_states: int = _field(5, ge=2)
+    chain_states: int = _field(5, ge=2, le=MAX_STATES)
 
 
 _COMPARISONS = {
@@ -184,6 +187,9 @@ def _check_fields(config: Any, where: str) -> None:
                     raise ConfigError(f"{name} must have {len(items)} items, got {value!r}")
             elif not value or len(set(value)) != len(value):
                 raise ConfigError(f"{name} must be nonempty with distinct items, got {value!r}")
+            limit = f.metadata.get("max_product")
+            if limit is not None and math.prod(value) > limit:
+                raise ConfigError(f"{name} must multiply to <= {limit}, got {value!r}")
         else:
             _check_item(f.type, value, f.metadata, config, name)
 

@@ -8,7 +8,6 @@ epsilon recorded for an episode is the value that was in force during it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -59,6 +58,9 @@ def _run_tasks(tasks: Sequence[tuple[ExperimentConfig, int]], jobs: int) -> list
     output equals sequential output."""
     if jobs <= 1 or len(tasks) == 1:
         return [run_single_seed(config, seed) for config, seed in tasks]
+    # imported here: concurrent.futures loads multiprocessing, which serial runs never use
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(_seed_task, tasks))
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-from xml.sax.saxutils import escape
 
 WIDTH = 860
 HEIGHT = 480
@@ -20,6 +19,12 @@ MARGIN_TOP = 44
 MARGIN_BOTTOM = 52
 
 PALETTE = ("#c0392b", "#7f8c8d", "#2e86c1", "#27ae60", "#8e44ad", "#d68910")
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text, as xml.sax.saxutils.escape
+    does, without importing xml.sax (which pulls in urllib, http and ssl)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
+from xml.sax.saxutils import escape as sax_escape
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbed.cli import main
 from rbed.config import (
+    MAX_STATES,
     AgentConfig,
     ConfigError,
     ConstantConfig,
@@ -44,7 +51,7 @@ from rbed.runner import (
     run_single_seed,
 )
 from rbed.schedules import ConstantSchedule, ExponentialSchedule, RbedSchedule
-from rbed.svgchart import Series, line_chart
+from rbed.svgchart import Series, escape, line_chart
 
 SMALL = {"episodes": 30, "seeds": [1, 2], "agent": {"buckets": [1, 1, 4, 4]}}
 
@@ -147,10 +154,86 @@ def test_validation_catches_bad_fields():
         {"scheduler": {"kind": "constant", "epsilon": -0.1}},
         {"seeds": "1,1"},
         {"chain_states": 1},
+        {"agent": {"buckets": [100000, 100000, 100000, 1]}},
+        {"environment": "chain", "chain_states": 10**12},
     ]
     for data in bad:
         with pytest.raises(ConfigError):
             config_from_dict(data)
+    # 2 * clip overflowed to inf and the run died on a NaN bucket index
+    with pytest.raises(ConfigError, match=r"agent\.clips\[2\]"):
+        config_from_dict({"agent": {"clips": [2.4, 3.0, 1e308, 1.7]}, "episodes": 2, "seeds": "1"})
+
+
+def test_q_table_cap_is_max_states():
+    # parsed only: a table near the cap is never built here
+    with pytest.raises(ConfigError, match=r"agent\.buckets"):
+        config_from_dict({"agent": {"buckets": [1, 1, 1001, 1000]}})
+    with pytest.raises(ConfigError, match="chain_states"):
+        config_from_dict({"environment": "chain", "chain_states": MAX_STATES + 1})
+    buckets = config_from_dict({"agent": {"buckets": [1, 1, 1000, 1000]}}).agent.buckets
+    assert math.prod(buckets) == MAX_STATES
+    chain = config_from_dict({"environment": "chain", "chain_states": MAX_STATES})
+    assert chain.chain_states == MAX_STATES
+
+
+_WIDE_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=5e-324, max_value=1.7e308),
+    st.sampled_from([0.0, 5e-324, 1e6, 1e308, -1e308, math.inf, math.nan]),
+)
+
+
+def _optional(**fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+_CONFIGS = st.fixed_dictionaries(
+    {"episodes": st.just(2), "seeds": st.sampled_from(["1", "7", str(2**64 - 1)])},
+    optional={
+        "environment": st.sampled_from(["cartpole", "chain"]),
+        "chain_states": st.integers(min_value=0, max_value=64),
+        "agent": _optional(
+            alpha=_WIDE_FLOATS,
+            gamma=_WIDE_FLOATS,
+            buckets=st.lists(st.integers(min_value=1, max_value=12), min_size=4, max_size=4),
+            clips=st.lists(_WIDE_FLOATS, min_size=4, max_size=4),
+        ),
+        "scheduler": st.one_of(
+            _optional(
+                kind=st.just("rbed"),
+                epsilon_start=_WIDE_FLOATS,
+                epsilon_min=_WIDE_FLOATS,
+                reward_target=_WIDE_FLOATS,
+                reward_increment=_WIDE_FLOATS,
+                reward_threshold_init=_WIDE_FLOATS,
+            ),
+            st.fixed_dictionaries(
+                {"kind": st.just("exponential")},
+                optional={
+                    "epsilon_start": _WIDE_FLOATS,
+                    "decay_rate": _WIDE_FLOATS,
+                    "epsilon_min": _WIDE_FLOATS,
+                },
+            ),
+            st.fixed_dictionaries({"kind": st.just("constant")}, optional={"epsilon": _WIDE_FLOATS}),
+        ),
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CONFIGS)
+def test_every_config_fails_at_load_or_runs(data):
+    # json.dumps writes NaN and Infinity, and json.loads reads them back
+    try:
+        config = config_from_json(json.dumps(data))
+    except ConfigError:
+        return
+    result = run_single_seed(config, config.seeds[0])
+    assert [r.episode for r in result.records] == [1, 2]
+    assert all(math.isfinite(r.total_reward) and 0.0 <= r.epsilon <= 1.0 for r in result.records)
 
 
 def test_config_round_trip():
@@ -513,6 +596,20 @@ def test_line_chart_escapes_labels():
     assert "a&lt;b&amp;c" in svg
 
 
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.one_of(
+            st.text(max_size=4),
+            st.sampled_from(["&", "<", ">", '"', "'", "&amp;", "&lt;", "&gt;", "&#38;", "<<>>", '""']),
+        ),
+        max_size=8,
+    ).map("".join)
+)
+def test_escape_matches_xml_sax_escape(text):
+    assert escape(text) == sax_escape(text)
+
+
 # -- cli ---------------------------------------------------------------------
 
 
@@ -608,6 +705,28 @@ def test_public_api_surface():
     assert missing == []
     for name in ("compare", "run_experiment", "emit_compare", "config_from_dict", "Rng"):
         assert name in rbed.__all__
+
+
+# xml.sax pulls in urllib, http, email, ssl and socket; concurrent.futures
+# pulls in multiprocessing. A serial run or a plot needs none of them.
+_UNUSED_AT_IMPORT = ("xml", "urllib", "http", "email", "ssl", "socket", "concurrent", "multiprocessing")
+
+
+def test_import_loads_no_network_or_pool_modules():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import rbed.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    added = out.split()
+    assert "rbed.cli" in added
+    assert [name for name in added if name.split(".")[0] in _UNUSED_AT_IMPORT] == []
 
 
 def test_shipped_configs_load():
