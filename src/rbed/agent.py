@@ -11,31 +11,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .envs import THETA_THRESHOLD
+from .config import AgentConfig
 from .metrics import EpisodeRecord
 from .rng import _INV_2_53, Rng
 
 QTable = list  # list[list[float]], shape (n_states, n_actions)
-
-# Position and cart-velocity carry a single bucket each: for the benchmark
-# the angle and angular velocity dominate, and folding the other two
-# dimensions away makes the table small enough to learn within the episode
-# budget. Velocity ranges are unbounded in the physics, so those clips are
-# tuned choices rather than physical constants.
-DEFAULT_BUCKETS = (1, 1, 7, 9)
-DEFAULT_CLIPS = (2.4, 3.0, THETA_THRESHOLD, 1.7)
-
-
-@dataclass(frozen=True)
-class AgentParams:
-    alpha: float = 0.26
-    gamma: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -48,18 +28,12 @@ class Discretizer:
     single bucket always contributes 0, so ``index`` reads only the live ones.
     """
 
-    buckets: tuple[int, int, int, int] = DEFAULT_BUCKETS
-    clips: tuple[float, float, float, float] = DEFAULT_CLIPS
+    buckets: tuple[int, int, int, int]
+    clips: tuple[float, float, float, float]
     # (dimension, clip, 2 * clip, bucket count, mixed-radix stride) per live dimension
     _live: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.buckets) != 4 or len(self.clips) != 4:
-            raise ValueError("buckets and clips must each have 4 entries")
-        if any(b < 1 for b in self.buckets):
-            raise ValueError(f"bucket counts must be >= 1, got {self.buckets}")
-        if any(c <= 0.0 for c in self.clips):
-            raise ValueError(f"clip ranges must be positive, got {self.clips}")
         live = tuple(
             (i, self.clips[i], 2.0 * self.clips[i], self.buckets[i], math.prod(self.buckets[i + 1 :]))
             for i in range(4)
@@ -127,11 +101,12 @@ def q_update(
     reward: float,
     s_next: int,
     done: bool,
-    params: AgentParams,
+    params: AgentConfig,
 ) -> None:
-    """One temporal-difference backup, in place. Terminal transitions do not
-    bootstrap from the successor. ``run_episode`` inlines this; it stays as
-    the reference the tests hold the loop to."""
+    """One temporal-difference backup, in place, with the run's ``alpha`` and
+    ``gamma`` from ``params``. Terminal transitions do not bootstrap from the
+    successor. ``run_episode`` inlines this; it stays as the reference the
+    tests hold the loop to."""
     if done:
         target = reward
     else:
@@ -144,11 +119,12 @@ def run_episode(
     env,
     q: QTable,
     epsilon: float,
-    params: AgentParams,
+    params: AgentConfig,
     rng: Rng,
     episode: int = 0,
 ) -> EpisodeRecord:
-    """One rollout from reset to termination with epsilon held fixed.
+    """One rollout from reset to termination with epsilon held fixed, learning
+    with the ``alpha`` and ``gamma`` of ``params``, the run's ``AgentConfig``.
 
     Q is updated in place after every step. Schedules advance between
     episodes, never inside one. Endings the environment flags in its

@@ -18,6 +18,7 @@ from .config import (
     validate_config,
 )
 from .emit import emit_compare, emit_results, figures_from_dir
+from .metrics import solve_count
 from .runner import ArmReport, compare, run_experiment
 
 
@@ -49,9 +50,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _apply_overrides(_load(args.config), args)
     results = run_experiment(config, jobs=args.jobs)
     written = emit_results(results, args.out)
-    solved = sum(1 for r in results if r.solved_at is not None)
     print(f"ran {len(results)} seed(s) x {config.episodes} episodes ({config.scheduler.kind})")
-    print(f"solved {solved}/{len(results)}; wrote {len(written)} file(s) to {args.out}")
+    print(f"solved {solve_count(results)}/{len(results)}; wrote {len(written)} file(s) to {args.out}")
     return 0
 
 
@@ -75,6 +75,16 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rbed",
@@ -87,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--episodes", type=int, help="override episode count")
         p.add_argument(
             "--jobs",
-            type=int,
+            type=_at_least_one,
             default=os.cpu_count() or 1,
             help="worker processes across seeds (default: all cores)",
         )

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .config import config_to_dict
-from .metrics import AggregateCurves, RunResult, aggregate_runs
+from .metrics import SOLVED_THRESHOLD, SOLVED_WINDOW, AggregateCurves, RunResult, aggregate_runs
 from .runner import ArmReport, ComparisonReport
 from .svgchart import Series, line_chart
 
@@ -25,11 +25,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write(path: Path, text: str) -> None:
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
 def emit_run_csv(run: RunResult, path: Path) -> None:
     lines = [RUN_HEADER]
     for r in run.records:
         lines.append(f"{r.episode},{_fmt(r.total_reward)},{_fmt(r.epsilon)},{r.steps}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def emit_aggregate_csv(curves: AggregateCurves, path: Path) -> None:
@@ -41,7 +45,7 @@ def emit_aggregate_csv(curves: AggregateCurves, path: Path) -> None:
         else:
             rolling = ""
         lines.append(f"{episode},{_fmt(reward)},{rolling},{_fmt(epsilon)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def emit_results(results: Sequence[RunResult], out_dir: str | Path) -> list[Path]:
@@ -89,36 +93,16 @@ def emit_compare(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
     written = emit_results(report.a.runs, out / "a")
     written += emit_results(report.b.runs, out / "b")
     report_path = out / "report.json"
-    report_path.write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    _write(report_path, json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
     written.append(report_path)
     return written
 
 
-def _reward_series(label: str, curves: AggregateCurves) -> Series:
-    xs = list(range(1, len(curves.mean_reward) + 1))
-    return Series(label=label, xs=xs, ys=list(curves.mean_reward))
+def _series(label: str, first_x: int, ys: Sequence[float]) -> Series:
+    return Series(label=label, xs=list(range(first_x, first_x + len(ys))), ys=list(ys))
 
 
-def _rolling_series(label: str, curves: AggregateCurves) -> Optional[Series]:
-    if not curves.mean_rolling:
-        return None
-    xs = list(range(curves.window, curves.window + len(curves.mean_rolling)))
-    return Series(label=label, xs=xs, ys=list(curves.mean_rolling))
-
-
-def _epsilon_series(label: str, curves: AggregateCurves) -> Series:
-    xs = list(range(1, len(curves.mean_epsilon) + 1))
-    return Series(label=label, xs=xs, ys=list(curves.mean_epsilon))
-
-
-def render_figures(
-    labeled_curves: Sequence[tuple[str, AggregateCurves]],
-    solved_threshold: float = 195.0,
-) -> dict[str, str]:
+def render_figures(labeled_curves: Sequence[tuple[str, AggregateCurves]]) -> dict[str, str]:
     """Build the three benchmark charts as SVG strings keyed by filename."""
     if not labeled_curves:
         raise ValueError("render_figures needs at least one curve set")
@@ -126,11 +110,11 @@ def render_figures(
         title="Mean episode reward",
         x_label="episode",
         y_label="reward",
-        series=[_reward_series(label, c) for label, c in labeled_curves],
+        series=[_series(label, 1, c.mean_reward) for label, c in labeled_curves],
         y_min=0.0,
     )
     rolling_series = [
-        s for s in (_rolling_series(label, c) for label, c in labeled_curves) if s is not None
+        _series(label, c.window, c.mean_rolling) for label, c in labeled_curves if c.mean_rolling
     ]
     window = labeled_curves[0][1].window
     rolling = line_chart(
@@ -140,14 +124,14 @@ def render_figures(
         # Too few episodes for a full window: chart just the reference level.
         series=rolling_series or [Series(label="(no full window)", xs=[1.0], ys=[0.0])],
         y_min=0.0,
-        ref_y=solved_threshold,
-        ref_label=f"solved ({solved_threshold:g})",
+        ref_y=SOLVED_THRESHOLD,
+        ref_label=f"solved ({SOLVED_THRESHOLD:g})",
     )
     epsilon = line_chart(
         title="Exploration rate by episode",
         x_label="episode",
         y_label="epsilon",
-        series=[_epsilon_series(label, c) for label, c in labeled_curves],
+        series=[_series(label, 1, c.mean_epsilon) for label, c in labeled_curves],
         y_min=0.0,
         y_max=1.0,
     )
@@ -183,7 +167,7 @@ def read_aggregate_csv(path: Path) -> AggregateCurves:
         mean_reward=tuple(mean_reward),
         mean_rolling=tuple(mean_rolling),
         mean_epsilon=tuple(mean_epsilon),
-        window=window if window is not None else 100,
+        window=window if window is not None else SOLVED_WINDOW,
     )
 
 
@@ -197,9 +181,12 @@ def figures_from_dir(in_dir: str | Path, out_dir: str | Path) -> list[Path]:
     report_path = src / "report.json"
     if report_path.is_file():
         meta = json.loads(report_path.read_text(encoding="utf-8"))
+        arms = [meta.get(arm) if isinstance(meta, dict) else None for arm in ("a", "b")]
+        if not all(isinstance(arm, dict) and isinstance(arm.get("label"), str) for arm in arms):
+            raise ValueError(f"{report_path}: arms a and b must be objects with a string label")
         labeled = [
-            (meta[arm]["label"], read_aggregate_csv(src / arm / "aggregate.csv"))
-            for arm in ("a", "b")
+            (arm["label"], read_aggregate_csv(src / name / "aggregate.csv"))
+            for arm, name in zip(arms, ("a", "b"))
         ]
     elif (src / "aggregate.csv").is_file():
         labeled = [(src.name, read_aggregate_csv(src / "aggregate.csv"))]
@@ -211,6 +198,6 @@ def figures_from_dir(in_dir: str | Path, out_dir: str | Path) -> list[Path]:
     written = []
     for name, svg in figures.items():
         path = out / name
-        path.write_text(svg, encoding="utf-8", newline="\n")
+        _write(path, svg)
         written.append(path)
     return written

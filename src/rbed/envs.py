@@ -113,7 +113,7 @@ def chain_reset() -> int:
     return 0
 
 
-def chain_step(position: int, action: int, n_states: int = 5) -> tuple[int, float, bool]:
+def chain_step(position: int, action: int, n_states: int) -> tuple[int, float, bool]:
     """Deterministic walk: RIGHT moves toward the terminal cell at
     ``n_states - 1``, LEFT moves back (clamped at 0). Entering the terminal
     cell pays 1.0; every other transition pays nothing."""
@@ -181,9 +181,7 @@ class TabularChain:
     False.
     """
 
-    def __init__(self, n_states: int = 5) -> None:
-        if n_states < 2:
-            raise ValueError(f"chain needs at least 2 states, got {n_states}")
+    def __init__(self, n_states: int) -> None:
         self.n_states = n_states
         self.n_actions = N_ACTIONS
         self.truncated = False

@@ -78,9 +78,10 @@ def solved_at(
     return None
 
 
-def solve_count(runs: Sequence[RunResult], budget: int = 500) -> int:
-    """Number of runs solved within the episode budget."""
-    return sum(1 for run in runs if run.solved_at is not None and run.solved_at <= budget)
+def solve_count(runs: Sequence[RunResult]) -> int:
+    """Number of runs that were solved (``solved_at`` is an episode of the
+    run, so a solved run was solved within its episode count)."""
+    return sum(1 for run in runs if run.solved_at is not None)
 
 
 def aggregate_runs(runs: Sequence[RunResult], window: int = SOLVED_WINDOW) -> AggregateCurves:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .agent import AgentParams, Discretizer, new_q_table, run_episode
+from .agent import Discretizer, new_q_table, run_episode
 from .config import ConfigError, ExperimentConfig, validate_config
 from .envs import TabularCartPole, TabularChain
 from .metrics import (
@@ -38,10 +38,9 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> RunResult:
     env = build_env(config)
     q = new_q_table(env.n_states, env.n_actions)
     schedule = config.scheduler.schedule()
-    params = AgentParams(alpha=config.agent.alpha, gamma=config.agent.gamma)
     records = []
     for episode in range(1, config.episodes + 1):
-        record = run_episode(env, q, schedule.epsilon, params, rng, episode=episode)
+        record = run_episode(env, q, schedule.epsilon, config.agent, rng, episode=episode)
         schedule = schedule.update(record.total_reward)
         records.append(record)
     records = tuple(records)
@@ -108,16 +107,15 @@ def _mean(values: Sequence[float]) -> Optional[float]:
 
 
 def _arm_report(label: str, config: ExperimentConfig, runs: Sequence[RunResult]) -> ArmReport:
-    budget = config.episodes
-    solved = [run.solved_at for run in runs if run.solved_at is not None and run.solved_at <= budget]
+    solved = [run.solved_at for run in runs if run.solved_at is not None]
     first_200 = tuple(first_reaching(run.records) for run in runs)
     reached = [episode for episode in first_200 if episode is not None]
     return ArmReport(
         label=label,
         config=config,
         runs=tuple(runs),
-        solve_budget=budget,
-        solve_count=solve_count(runs, budget=budget),
+        solve_budget=config.episodes,
+        solve_count=solve_count(runs),
         mean_solve_episode=_mean(solved),
         first_200=first_200,
         mean_first_200=_mean(reached),

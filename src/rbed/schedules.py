@@ -5,8 +5,10 @@ force) and ``update(last_reward)``, which the harness calls exactly once at
 the end of each episode with that episode's total reward. Reward-based decay
 reacts to the reward; exponential and constant schedules ignore it.
 
-Schedules trust their arguments: ``rbed.config`` declares and checks the
-bounds of every schedule parameter before a schedule is built.
+Schedules trust their arguments, as do the agent (``rbed.agent``) and the
+environments (``rbed.envs``): ``rbed.config`` declares the default and
+bounds of every schedule, agent and environment parameter and checks them
+before any of these is built.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class ExponentialSchedule:
 
     epsilon: float
     decay_rate: float
-    epsilon_min: float = 0.0
+    epsilon_min: float
 
     def update(self, last_reward: float) -> "ExponentialSchedule":
         eps = self.epsilon * self.decay_rate

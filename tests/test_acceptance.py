@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from rbed.agent import AgentParams, new_q_table, run_episode
-from rbed.config import config_from_dict, load_config
+from rbed.agent import new_q_table, run_episode
+from rbed.config import AgentConfig, config_from_dict, load_config
 from rbed.envs import LEFT, RIGHT, CartPoleState, TabularChain, cartpole_step
 from rbed.metrics import EpisodeRecord, solved_at
 from rbed.rng import Rng
@@ -93,7 +93,7 @@ def test_criterion_3_physics_oracle_and_mirror_symmetry():
 def test_criterion_4_chain_convergence():
     env = TabularChain(5)
     q = new_q_table(env.n_states, env.n_actions)
-    params = AgentParams(alpha=0.1, gamma=0.9)
+    params = AgentConfig(alpha=0.1, gamma=0.9)
     rng = Rng(61)
     total_steps = 0
     for episode in range(2500):

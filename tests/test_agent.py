@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbed.agent import (
-    DEFAULT_CLIPS,
-    AgentParams,
     Discretizer,
     new_q_table,
     q_update,
     run_episode,
     select_action,
 )
+from rbed.config import DEFAULT_CLIPS, AgentConfig
 from rbed.envs import LEFT, RIGHT, THETA_THRESHOLD, TabularCartPole, TabularChain
 from rbed.rng import Rng
 
@@ -94,15 +93,6 @@ def test_index_covers_all_cells():
                     ]
                     seen.add(d.index(point))
     assert seen == set(range(d.n_states))
-
-
-def test_discretizer_validation():
-    with pytest.raises(ValueError):
-        Discretizer((0, 3, 6, 6), (2.4, 3.0, 0.2, 2.0))
-    with pytest.raises(ValueError):
-        Discretizer((3, 3, 6), (2.4, 3.0, 0.2))
-    with pytest.raises(ValueError):
-        Discretizer((3, 3, 6, 6), (2.4, 0.0, 0.2, 2.0))
 
 
 @settings(max_examples=300)
@@ -233,7 +223,7 @@ def test_tie_break_is_uniform():
 
 def test_update_from_zero_table():
     q = new_q_table(2, 2)
-    params = AgentParams(alpha=0.1, gamma=0.99)
+    params = AgentConfig(alpha=0.1, gamma=0.99)
     q_update(q, 0, 1, 1.0, 1, False, params)
     assert q[0][1] == pytest.approx(0.1)  # 0 + 0.1 * (1 + 0.99*0 - 0)
     assert q[0][0] == 0.0 and q[1] == [0.0, 0.0]
@@ -241,39 +231,27 @@ def test_update_from_zero_table():
 
 def test_update_bootstraps_from_successor_max():
     q = [[0.0, 0.0], [2.0, 3.0]]
-    q_update(q, 0, 0, 1.0, 1, False, AgentParams(alpha=0.1, gamma=0.99))
+    q_update(q, 0, 0, 1.0, 1, False, AgentConfig(alpha=0.1, gamma=0.99))
     assert q[0][0] == pytest.approx(0.1 * (1.0 + 0.99 * 3.0))  # 0.397
 
 
 def test_terminal_update_ignores_successor():
     q = [[0.0, 0.0], [100.0, 100.0]]
-    q_update(q, 0, 0, 1.0, 1, True, AgentParams(alpha=0.5, gamma=0.99))
+    q_update(q, 0, 0, 1.0, 1, True, AgentConfig(alpha=0.5, gamma=0.99))
     assert q[0][0] == 0.5
 
 
 def test_update_moves_toward_target_by_alpha():
     q = [[10.0, 0.0], [0.0, 4.0]]
-    q_update(q, 0, 0, 2.0, 1, False, AgentParams(alpha=0.25, gamma=0.5))
+    q_update(q, 0, 0, 2.0, 1, False, AgentConfig(alpha=0.25, gamma=0.5))
     # target = 2 + 0.5*4 = 4; new = 10 + 0.25*(4 - 10) = 8.5
     assert q[0][0] == pytest.approx(8.5)
 
 
 def test_alpha_one_jumps_to_target():
     q = [[5.0, 0.0], [1.0, 2.0]]
-    q_update(q, 0, 0, 1.0, 1, False, AgentParams(alpha=1.0, gamma=1.0))
+    q_update(q, 0, 0, 1.0, 1, False, AgentConfig(alpha=1.0, gamma=1.0))
     assert q[0][0] == 3.0
-
-
-def test_agent_params_validation():
-    with pytest.raises(ValueError):
-        AgentParams(alpha=0.0)
-    with pytest.raises(ValueError):
-        AgentParams(alpha=1.5)
-    with pytest.raises(ValueError):
-        AgentParams(gamma=0.0)
-    with pytest.raises(ValueError):
-        AgentParams(gamma=1.01)
-    AgentParams(alpha=1.0, gamma=1.0)  # closed upper ends are legal
 
 
 # -- rollouts ----------------------------------------------------------------
@@ -285,7 +263,7 @@ def test_chain_rollout_record():
     # greedy on a table that points right everywhere walks straight to goal
     for s in range(env.n_states):
         q[s][RIGHT] = 1.0
-    rec = run_episode(env, q, 0.0, AgentParams(), Rng(1), episode=7)
+    rec = run_episode(env, q, 0.0, AgentConfig(), Rng(1), episode=7)
     assert rec.episode == 7
     assert rec.steps == 4
     assert rec.total_reward == 1.0
@@ -297,7 +275,7 @@ def test_learning_on_chain_converges_to_closed_form():
     # and Q(0, RIGHT) -> 0.729 exactly (deterministic MDP, fixed point)
     env = TabularChain(5)
     q = new_q_table(env.n_states, env.n_actions)
-    params = AgentParams(alpha=0.1, gamma=0.9)
+    params = AgentConfig(alpha=0.1, gamma=0.9)
     rng = Rng(99)
     for ep in range(3000):
         run_episode(env, q, 1.0, params, rng, episode=ep)
@@ -312,7 +290,7 @@ def test_cartpole_reward_equals_steps():
     q = new_q_table(env.n_states, env.n_actions)
     rng = Rng(4)
     for ep in range(20):
-        rec = run_episode(env, q, 1.0, AgentParams(), rng, episode=ep)
+        rec = run_episode(env, q, 1.0, AgentConfig(), rng, episode=ep)
         assert rec.total_reward == float(rec.steps)
         assert 1 <= rec.steps <= 200
 
@@ -326,7 +304,7 @@ def test_random_policy_episode_length_band():
     q = new_q_table(env.n_states, env.n_actions)
     rng = Rng(1234)
     lengths = [
-        run_episode(env, q, 1.0, AgentParams(), rng, episode=ep).steps for ep in range(300)
+        run_episode(env, q, 1.0, AgentConfig(), rng, episode=ep).steps for ep in range(300)
     ]
     mean = sum(lengths) / len(lengths)
     assert 15.0 <= mean <= 35.0
@@ -338,7 +316,7 @@ def test_rollout_deterministic_for_seed():
         env = TabularCartPole(d)
         q = new_q_table(env.n_states, env.n_actions)
         rng = Rng(seed)
-        recs = [run_episode(env, q, 0.4, AgentParams(), rng, episode=ep) for ep in range(30)]
+        recs = [run_episode(env, q, 0.4, AgentConfig(), rng, episode=ep) for ep in range(30)]
         return recs, q
 
     recs_a, q_a = one(17)
@@ -363,7 +341,7 @@ def test_rollout_matches_hand_rolled_loop(buckets, clips, epsilon):
     from rbed.envs import MAX_STEPS, X_THRESHOLD, cartpole_reset, cartpole_step
 
     d = Discretizer(buckets, clips)
-    params = AgentParams(alpha=0.3, gamma=1.0)
+    params = AgentConfig(alpha=0.3, gamma=1.0)
     episodes = 200
 
     env = TabularCartPole(d)
@@ -406,7 +384,7 @@ def test_rollout_matches_hand_rolled_loop(buckets, clips, epsilon):
 def test_chain_rollout_matches_hand_rolled_loop(epsilon):
     from rbed.envs import chain_reset, chain_step
 
-    params = AgentParams(alpha=0.1, gamma=0.9)
+    params = AgentConfig(alpha=0.1, gamma=0.9)
     env = TabularChain(6)
     q = new_q_table(env.n_states, env.n_actions)
     rng = Rng(7)
@@ -436,7 +414,7 @@ def test_rollout_rejects_other_action_counts():
         n_actions = 3
 
     with pytest.raises(ValueError):
-        run_episode(ThreeActions(), [[0.0] * 3] * 2, 0.0, AgentParams(), Rng(1))
+        run_episode(ThreeActions(), [[0.0] * 3] * 2, 0.0, AgentConfig(), Rng(1))
 
 
 class _CappedStub:
@@ -465,7 +443,7 @@ class _TerminalStub(_CappedStub):
 
 
 def test_truncated_ending_bootstraps_through():
-    params = AgentParams(alpha=0.5, gamma=1.0)
+    params = AgentConfig(alpha=0.5, gamma=1.0)
     q = [[0.0, 0.0], [8.0, 6.0]]
     run_episode(_CappedStub(), q, 0.0, params, Rng(1))
     # target = 1 + max(q[1]) = 9, update = 0.5 * 9

@@ -240,8 +240,3 @@ def test_tabular_chain_adapter():
     assert s == 0
     s, r, done = env.step(RIGHT)
     assert (s, r, done) == (1, 0.0, False)
-
-
-def test_tabular_chain_validation():
-    with pytest.raises(ValueError):
-        TabularChain(1)

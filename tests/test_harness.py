@@ -136,6 +136,8 @@ def test_validation_catches_bad_fields():
         {"seeds": [2**64]},
         {"environment": "mountaincar"},
         {"agent": {"alpha": 0.0}},
+        {"agent": {"alpha": 1.5}},
+        {"agent": {"gamma": 0.0}},
         {"agent": {"gamma": 1.5}},
         {"agent": {"buckets": [0, 1, 1, 1]}},
         {"agent": {"buckets": [1, 1, 1]}},
@@ -160,6 +162,7 @@ def test_validation_catches_bad_fields():
     for data in bad:
         with pytest.raises(ConfigError):
             config_from_dict(data)
+    config_from_dict({"agent": {"alpha": 1.0, "gamma": 1.0}})  # closed upper ends are legal
     # 2 * clip overflowed to inf and the run died on a NaN bucket index
     with pytest.raises(ConfigError, match=r"agent\.clips\[2\]"):
         config_from_dict({"agent": {"clips": [2.4, 3.0, 1e308, 1.7]}, "episodes": 2, "seeds": "1"})
@@ -492,6 +495,19 @@ def test_read_aggregate_rejects_damaged_rows(tmp_path, capsys, rows, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "report",
+    ["{}", "[1]", '{"a": {"label": 3}, "b": {"label": "b"}}', '{"a": {"label": "a"}, "b": 7}'],
+    ids=["empty_object", "list", "numeric_label", "arm_not_object"],
+)
+def test_plot_rejects_damaged_report(tmp_path, capsys, report):
+    (tmp_path / "report.json").write_text(report)
+    with pytest.raises(ValueError, match="report.json"):
+        figures_from_dir(tmp_path, tmp_path / "figs")
+    assert main(["plot", "--in", str(tmp_path), "--out", str(tmp_path / "figs")]) == 1
+    assert "report.json" in capsys.readouterr().err
+
+
 def test_report_json_structure(tmp_path):
     a = small_config()
     b = small_config(scheduler={"kind": "exponential"})
@@ -691,6 +707,15 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
 def test_cli_bad_seed_spec_exits_2(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path / "o"), "--seeds", "9..1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--out", str(tmp_path / "o"), "--episodes", "1", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_plot_missing_inputs_exits_1(tmp_path, capsys):

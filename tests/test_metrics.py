@@ -142,16 +142,15 @@ def test_solved_matches_brute_force_long_series():
 # -- solve count -------------------------------------------------------------
 
 
-def test_solve_count_honors_budget():
+def test_solve_count_counts_solved_runs():
     runs = [
         RunResult(seed=1, records=(), solved_at=120),
         RunResult(seed=2, records=(), solved_at=500),
         RunResult(seed=3, records=(), solved_at=501),
         RunResult(seed=4, records=(), solved_at=None),
     ]
-    assert solve_count(runs) == 2
-    assert solve_count(runs, budget=501) == 3
-    assert solve_count(runs, budget=100) == 0
+    assert solve_count(runs) == 3
+    assert solve_count(runs[3:]) == 0
     assert solve_count([]) == 0
 
 
