@@ -114,11 +114,7 @@ class ConstantConfig:
 
 SchedulerConfig = Union[RbedConfig, ExponentialConfig, ConstantConfig]
 
-_SCHEDULER_KINDS = {
-    "rbed": RbedConfig,
-    "exponential": ExponentialConfig,
-    "constant": ConstantConfig,
-}
+_SCHEDULER_KINDS = {cls.kind: cls for cls in get_args(SchedulerConfig)}
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ Floats are written in shortest round-trip decimal form; lines end with LF.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import config_to_dict
 from .metrics import SOLVED_THRESHOLD, SOLVED_WINDOW, AggregateCurves, RunResult, aggregate_runs
@@ -25,44 +26,48 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
+def _write_files(out_dir: str | Path, files: Iterable[tuple[str, str]]) -> list[Path]:
+    """Write ``(relative path, text)`` pairs under ``out_dir``, creating
+    parent directories; returns the written paths in order. ``files`` is
+    consumed one pair at a time, so a generator holds only one text."""
+    out = Path(out_dir)
+    written = []
+    for name, text in files:
+        path = out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="\n")
+        written.append(path)
+    return written
 
 
-def emit_run_csv(run: RunResult, path: Path) -> None:
+def run_csv(run: RunResult) -> str:
     lines = [RUN_HEADER]
     for r in run.records:
         lines.append(f"{r.episode},{_fmt(r.total_reward)},{_fmt(r.epsilon)},{r.steps}")
-    _write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def emit_aggregate_csv(curves: AggregateCurves, path: Path) -> None:
+def aggregate_csv(curves: AggregateCurves) -> str:
     lines = [AGGREGATE_HEADER]
-    for i, (reward, epsilon) in enumerate(zip(curves.mean_reward, curves.mean_epsilon)):
-        episode = i + 1
-        if episode >= curves.window:
-            rolling = _fmt(curves.mean_rolling[episode - curves.window])
-        else:
-            rolling = ""
+    window = curves.window
+    for episode, (reward, epsilon) in enumerate(zip(curves.mean_reward, curves.mean_epsilon), 1):
+        rolling = _fmt(curves.mean_rolling[episode - window]) if episode >= window else ""
         lines.append(f"{episode},{_fmt(reward)},{rolling},{_fmt(epsilon)}")
-    _write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _run_files(
+    prefix: str, runs: Sequence[RunResult], curves: AggregateCurves
+) -> Iterator[tuple[str, str]]:
+    """The run layout: one CSV per run, then the aggregate CSV."""
+    for run in runs:
+        yield f"{prefix}run_{run.seed}.csv", run_csv(run)
+    yield f"{prefix}aggregate.csv", aggregate_csv(curves)
 
 
 def emit_results(results: Sequence[RunResult], out_dir: str | Path) -> list[Path]:
     """Write one CSV per run plus the aggregate CSV; returns written paths."""
-    if not results:
-        raise ValueError("emit_results needs at least one run")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for run in results:
-        path = out / f"run_{run.seed}.csv"
-        emit_run_csv(run, path)
-        written.append(path)
-    aggregate_path = out / "aggregate.csv"
-    emit_aggregate_csv(aggregate_runs(results), aggregate_path)
-    written.append(aggregate_path)
-    return written
+    return _write_files(out_dir, _run_files("", results, aggregate_runs(results)))
 
 
 def _arm_to_dict(arm: ArmReport) -> dict:
@@ -89,13 +94,13 @@ def report_to_dict(report: ComparisonReport) -> dict:
 
 def emit_compare(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
     """Write both arms' CSVs under a/ and b/ plus report.json."""
-    out = Path(out_dir)
-    written = emit_results(report.a.runs, out / "a")
-    written += emit_results(report.b.runs, out / "b")
-    report_path = out / "report.json"
-    _write(report_path, json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
-    written.append(report_path)
-    return written
+
+    def files() -> Iterator[tuple[str, str]]:
+        for prefix, arm in (("a/", report.a), ("b/", report.b)):
+            yield from _run_files(prefix, arm.runs, arm.curves)
+        yield "report.json", json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+
+    return _write_files(out_dir, files())
 
 
 def _series(label: str, first_x: int, ys: Sequence[float]) -> Series:
@@ -135,7 +140,7 @@ def render_figures(labeled_curves: Sequence[tuple[str, AggregateCurves]]) -> dic
         y_min=0.0,
         y_max=1.0,
     )
-    return {"reward.svg": reward, "rolling.svg": rolling, "epsilon.svg": epsilon}
+    return dict(zip(FIGURE_NAMES, (reward, rolling, epsilon)))
 
 
 def read_aggregate_csv(path: Path) -> AggregateCurves:
@@ -155,6 +160,9 @@ def read_aggregate_csv(path: Path) -> AggregateCurves:
         episode = int(fields[0])
         if episode != expected:
             raise ValueError(f"{path}: episode {episode} where {expected} was expected")
+        for text in fields[1:]:
+            if text and not math.isfinite(float(text)):
+                raise ValueError(f"{path}: episode {episode}: {text!r} is not a finite number")
         mean_reward.append(float(fields[1]))
         if fields[2]:
             if window is None:
@@ -192,12 +200,4 @@ def figures_from_dir(in_dir: str | Path, out_dir: str | Path) -> list[Path]:
         labeled = [(src.name, read_aggregate_csv(src / "aggregate.csv"))]
     else:
         raise ValueError(f"{src} contains neither report.json nor aggregate.csv")
-    figures = render_figures(labeled)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, svg in figures.items():
-        path = out / name
-        _write(path, svg)
-        written.append(path)
-    return written
+    return _write_files(out_dir, render_figures(labeled).items())

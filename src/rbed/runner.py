@@ -8,6 +8,7 @@ epsilon recorded for an episode is the value that was in force during it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -47,21 +48,19 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> RunResult:
     return RunResult(seed=seed, records=records, solved_at=solved_at(records))
 
 
-def _seed_task(args: tuple[ExperimentConfig, int]) -> RunResult:
-    return run_single_seed(*args)
-
-
 def _run_tasks(tasks: Sequence[tuple[ExperimentConfig, int]], jobs: int) -> list[RunResult]:
-    """Run (config, seed) tasks, in one process pool when ``jobs`` > 1.
-    Results follow task order regardless of execution order, so parallel
-    output equals sequential output."""
-    if jobs <= 1 or len(tasks) == 1:
+    """Run (config, seed) tasks, in one process pool of at most ``jobs``
+    workers and at most one per core. Results follow task order regardless
+    of execution order, so parallel output equals sequential output."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [run_single_seed(config, seed) for config, seed in tasks]
     # imported here: concurrent.futures loads multiprocessing, which serial runs never use
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(_seed_task, tasks))
+    configs, seeds = zip(*tasks)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_single_seed, configs, seeds))
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunResult]:

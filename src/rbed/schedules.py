@@ -14,7 +14,6 @@ before any of these is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Union
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,3 @@ class ConstantSchedule:
 
     def update(self, last_reward: float) -> "ConstantSchedule":
         return self
-
-
-Schedule = Union[RbedSchedule, ExponentialSchedule, ConstantSchedule]

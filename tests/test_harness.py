@@ -1,5 +1,6 @@
 """Config parsing, experiment orchestration, file emission, and the CLI."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -12,6 +13,8 @@ from xml.sax.saxutils import escape as sax_escape
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rbed.emit
+import rbed.runner
 from rbed.cli import main
 from rbed.config import (
     MAX_STATES,
@@ -32,14 +35,14 @@ from rbed.emit import (
     AGGREGATE_HEADER,
     FIGURE_NAMES,
     RUN_HEADER,
-    emit_aggregate_csv,
+    aggregate_csv,
     emit_compare,
     emit_results,
-    emit_run_csv,
     figures_from_dir,
     read_aggregate_csv,
     render_figures,
     report_to_dict,
+    run_csv,
 )
 from rbed.envs import TabularCartPole, TabularChain
 from rbed.metrics import EpisodeRecord, RunResult, aggregate_runs
@@ -349,6 +352,37 @@ def test_parallel_equals_sequential():
     assert run_experiment(config, jobs=2) == run_experiment(config, jobs=1)
 
 
+@pytest.mark.parametrize(
+    "cores, jobs, workers",
+    [(4, 100_000, 3), (2, 8, 2), (1, 8, None), (None, 8, None), (4, 1, None)],
+    ids=["tasks_cap", "cores_cap", "one_core", "unknown_cores", "one_job"],
+)
+def test_pool_size_is_capped_at_cores_and_tasks(monkeypatch, cores, jobs, workers):
+    # a stand-in executor that records its size and maps serially, so no
+    # process is ever started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    config = small_config(seeds=[1, 2, 3], episodes=2)
+    results = run_experiment(config, jobs=jobs)
+    assert sizes == ([] if workers is None else [workers])
+    assert results == [run_single_seed(config, seed) for seed in (1, 2, 3)]
+
+
 def test_run_experiment_validates():
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig(episodes=0))
@@ -415,10 +449,8 @@ def fabricated_run(seed=1, n=3):
     return RunResult(seed=seed, records=records, solved_at=None)
 
 
-def test_run_csv_exact_bytes(tmp_path):
-    path = tmp_path / "run.csv"
-    emit_run_csv(fabricated_run(), path)
-    assert path.read_text() == (
+def test_run_csv_exact_bytes():
+    assert run_csv(fabricated_run()) == (
         "episode,reward,epsilon,steps\n"
         "1,10.0,1.0,1\n"
         "2,20.0,0.5,2\n"
@@ -426,12 +458,10 @@ def test_run_csv_exact_bytes(tmp_path):
     )
 
 
-def test_aggregate_csv_blank_rolling_before_window(tmp_path):
+def test_aggregate_csv_blank_rolling_before_window():
     runs = [fabricated_run(1, 4), fabricated_run(2, 4)]
     curves = aggregate_runs(runs, window=3)
-    path = tmp_path / "aggregate.csv"
-    emit_aggregate_csv(curves, path)
-    lines = path.read_text().splitlines()
+    lines = aggregate_csv(curves).splitlines()
     assert lines[0] == AGGREGATE_HEADER
     assert lines[1].split(",")[2] == ""
     assert lines[2].split(",")[2] == ""
@@ -462,7 +492,7 @@ def test_aggregate_csv_round_trip(tmp_path):
     config = small_config()
     curves = aggregate_runs(run_experiment(config), window=10)
     path = tmp_path / "aggregate.csv"
-    emit_aggregate_csv(curves, path)
+    path.write_text(aggregate_csv(curves))
     back = read_aggregate_csv(path)
     # repr floats survive the round trip bit for bit
     assert back.mean_reward == curves.mean_reward
@@ -483,8 +513,11 @@ def test_read_aggregate_rejects_foreign_csv(tmp_path):
     [
         (["1,1.0,,1.0", "2,1.0,,1.0", "4,1.0,1.0,1.0"], "episode 4 where 3"),
         (["1,1.0,,1.0", "2,1.0,1.0,1.0", "3,1.0,,1.0"], "blank rolling mean at episode 3"),
+        (["1,inf,,1.0"], "episode 1: 'inf' is not a finite number"),
+        (["1,1.0,,1.0", "2,1.0,-inf,1.0"], "episode 2: '-inf' is not a finite number"),
+        (["1,1.0,,nan"], "episode 1: 'nan' is not a finite number"),
     ],
-    ids=["episode_gap", "rolling_gap"],
+    ids=["episode_gap", "rolling_gap", "inf_reward", "minus_inf_rolling", "nan_epsilon"],
 )
 def test_read_aggregate_rejects_damaged_rows(tmp_path, capsys, rows, message):
     path = tmp_path / "aggregate.csv"
@@ -492,7 +525,9 @@ def test_read_aggregate_rejects_damaged_rows(tmp_path, capsys, rows, message):
     with pytest.raises(ValueError, match=message):
         read_aggregate_csv(path)
     assert main(["plot", "--in", str(tmp_path), "--out", str(tmp_path / "figs")]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert str(path) in err
 
 
 @pytest.mark.parametrize(
@@ -533,6 +568,26 @@ def test_emit_compare_layout(tmp_path):
             assert (tmp_path / arm / name).is_file()
     meta = json.loads((tmp_path / "report.json").read_text())
     assert meta["a"]["label"] == "rbed"
+
+
+def test_emit_compare_reuses_each_arms_curves(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(runs, *args, **kwargs):
+        calls.append(len(runs))
+        return aggregate_runs(runs, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("emit_compare aggregated an arm a second time")
+
+    monkeypatch.setattr(rbed.runner, "aggregate_runs", counting)
+    monkeypatch.setattr(rbed.emit, "aggregate_runs", refuse)
+    report = compare(small_config(), small_config(scheduler={"kind": "exponential"}))
+    emit_compare(report, tmp_path)
+    assert calls == [2, 2]  # once per arm, in compare
+    for name, arm in (("a", report.a), ("b", report.b)):
+        text = (tmp_path / name / "aggregate.csv").read_text(encoding="utf-8")
+        assert text == aggregate_csv(aggregate_runs(arm.runs))
 
 
 # -- figures -----------------------------------------------------------------
