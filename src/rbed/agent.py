@@ -8,6 +8,8 @@ a dense table indexed by flat bucket index and action.
 from __future__ import annotations
 
 import math
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -18,24 +20,96 @@ from .rng import _INV_2_53, Rng
 QTable = list  # list[list[float]], shape (n_states, n_actions)
 
 
+_SIGN = 1 << 63
+_DOUBLE = struct.Struct("<d")
+_UINT64 = struct.Struct("<Q")
+
+
+def bucket(value: float, clip: float, count: int) -> int:
+    """The cell of ``value`` among ``count`` equal cells over [-clip, clip].
+
+    Values at or beyond a clip land in the edge cells. This is the definition
+    of the grid; ``Discretizer`` only precomputes where its cells change.
+    """
+    if value <= -clip:
+        return 0
+    if value >= clip:
+        return count - 1
+    # not (value + clip) * (count / (2 * clip)): that rounds differently
+    # within a few ulps of a cell edge
+    cell = int((value + clip) * count / (2.0 * clip))
+    return cell if cell < count else count - 1  # guard the v ~ clip rounding edge
+
+
+def _ordered(value: float) -> int:
+    """Position of a double in the total order of doubles (-0.0 just below 0.0)."""
+    (bits,) = _UINT64.unpack(_DOUBLE.pack(value))
+    return bits if bits < _SIGN else _SIGN - 1 - bits
+
+
+def _from_ordered(key: int) -> float:
+    """Inverse of ``_ordered``."""
+    return _DOUBLE.unpack(_UINT64.pack(key if key >= 0 else _SIGN - 1 - key))[0]
+
+
+def _edge(k: int, clip: float, count: int) -> float:
+    """The least double whose ``bucket`` is k or more, for 0 < k < count.
+
+    A search over the order of doubles, not a walk one ulp at a time: that
+    walk would cross every subnormal to reach an edge at 0.0. It probes out
+    from the real-valued edge, which is usually within an ulp or two of the
+    answer, by steps of 1, 2, 4, ... 128 doubles, then bisects what is left
+    of the bracket. An edge takes two ``bucket`` calls when the guess is
+    close, and at most about 72 (an edge near 0.0 is about 2**62 doubles
+    from its guess).
+    """
+    lo, hi = _ordered(-clip), _ordered(clip)  # bucket(lo) < k <= bucket(hi)
+    probe, step = _ordered(k * (2.0 * clip) / count - clip), 1
+    while lo < probe < hi and step <= 128:
+        if bucket(_from_ordered(probe), clip, count) >= k:
+            hi, probe = probe, probe - step
+        else:
+            lo, probe = probe, probe + step
+        step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bucket(_from_ordered(mid), clip, count) >= k:
+            hi = mid
+        else:
+            lo = mid
+    return _from_ordered(hi)
+
+
 @dataclass(frozen=True)
 class Discretizer:
     """Maps a 4-dimensional continuous state to a flat bucket index.
 
-    Each dimension i is clipped to [-clips[i], clips[i]] and split into
-    buckets[i] equal cells; the four bucket indices combine in mixed radix,
-    so the flat index is bijective with the bucket tuple. A dimension with a
-    single bucket always contributes 0, so ``index`` reads only the live ones.
+    Dimension i lands in cell ``bucket(state[i], clips[i], buckets[i])``; the
+    four cells combine in mixed radix, so the flat index is bijective with
+    the bucket tuple. A dimension with a single bucket always contributes 0,
+    so ``index`` reads only the live ones.
+
+    ``index`` does not evaluate ``bucket``: for each live dimension it keeps
+    the edges from ``_edge``, the least double at which ``bucket`` reaches
+    each of 1..count-1, and counts the edges at or below the value with
+    ``bisect_right``. That count equals ``bucket`` for every non-NaN double,
+    because ``bucket`` never decreases as the value grows (each of its
+    roundings is monotone), so ``bucket(v) >= k`` exactly when ``v`` is at
+    or above edge k.
     """
 
     buckets: tuple[int, int, int, int]
     clips: tuple[float, float, float, float]
-    # (dimension, clip, 2 * clip, bucket count, mixed-radix stride) per live dimension
+    # (dimension, edges, mixed-radix stride) per live dimension
     _live: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         live = tuple(
-            (i, self.clips[i], 2.0 * self.clips[i], self.buckets[i], math.prod(self.buckets[i + 1 :]))
+            (
+                i,
+                tuple(_edge(k, self.clips[i], self.buckets[i]) for k in range(1, self.buckets[i])),
+                math.prod(self.buckets[i + 1 :]),
+            )
             for i in range(4)
             if self.buckets[i] > 1
         )
@@ -47,19 +121,8 @@ class Discretizer:
 
     def index(self, state: Sequence[float]) -> int:
         idx = 0
-        for i, clip, two_clip, count, stride in self._live:
-            value = state[i]
-            if value <= -clip:
-                continue  # bucket 0
-            if value >= clip:
-                bucket = count - 1
-            else:
-                # not (value + clip) * (count / two_clip): that rounds
-                # differently within a few ulps of a cell edge
-                bucket = int((value + clip) * count / two_clip)
-                if bucket >= count:  # guard the v ~ clip rounding edge
-                    bucket = count - 1
-            idx += bucket * stride
+        for i, edges, stride in self._live:
+            idx += bisect_right(edges, state[i]) * stride
         return idx
 
 

@@ -143,6 +143,17 @@ def render_figures(labeled_curves: Sequence[tuple[str, AggregateCurves]]) -> dic
     return dict(zip(FIGURE_NAMES, (reward, rolling, epsilon)))
 
 
+def _finite(path: Path, episode: int, text: str) -> float:
+    """One numeric cell of an aggregate CSV row; the error names the file."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: episode {episode}: {text!r} is not a finite number")
+    return value
+
+
 def read_aggregate_csv(path: Path) -> AggregateCurves:
     """Parse an aggregate CSV back into curves (for the plot command)."""
     text = path.read_text(encoding="utf-8")
@@ -157,20 +168,23 @@ def read_aggregate_csv(path: Path) -> AggregateCurves:
         fields = line.split(",")
         if len(fields) != 4:
             raise ValueError(f"{path}: malformed row {line!r}")
-        episode = int(fields[0])
+        try:
+            episode = int(fields[0])
+        except ValueError:
+            raise ValueError(f"{path}: episode {fields[0]!r} is not an integer") from None
         if episode != expected:
             raise ValueError(f"{path}: episode {episode} where {expected} was expected")
-        for text in fields[1:]:
-            if text and not math.isfinite(float(text)):
-                raise ValueError(f"{path}: episode {episode}: {text!r} is not a finite number")
-        mean_reward.append(float(fields[1]))
-        if fields[2]:
+        reward, rolling, epsilon = (_finite(path, episode, text) if text else None for text in fields[1:])
+        if reward is None or epsilon is None:
+            raise ValueError(f"{path}: episode {episode}: blank mean reward or epsilon")
+        mean_reward.append(reward)
+        if rolling is not None:
             if window is None:
                 window = episode
-            mean_rolling.append(float(fields[2]))
+            mean_rolling.append(rolling)
         elif window is not None:
             raise ValueError(f"{path}: blank rolling mean at episode {episode} after episode {window}")
-        mean_epsilon.append(float(fields[3]))
+        mean_epsilon.append(epsilon)
     return AggregateCurves(
         mean_reward=tuple(mean_reward),
         mean_rolling=tuple(mean_rolling),

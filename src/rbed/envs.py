@@ -144,23 +144,27 @@ class TabularCartPole:
         self.truncated: bool = False
         # (x, x_dot, theta, theta_dot, steps_elapsed)
         self._state: tuple[float, float, float, float, int] | None = None
+        self._done = True  # no episode in progress: before reset, or after it ended
 
     def reset(self, rng) -> int:
         self._state = cartpole_reset(rng)
         self.truncated = False
+        self._done = False
         return self.discretizer.index(self._state)
 
     def step(self, action: int) -> tuple[int, float, bool]:
         """``cartpole_step`` on plain floats, then the discretizer.
 
         The tests hold it to ``cartpole_step`` (the same Euler lines, the
-        same ``accelerations`` and ``out_of_bounds``), state for state.
+        same ``accelerations`` and ``out_of_bounds``), state for state. The
+        entry guard reads the done flag this method set on the previous step
+        rather than testing the state again.
         """
-        if self._state is None:
-            raise TerminalStepError("step before reset")
+        if self._done:
+            raise TerminalStepError(
+                "step before reset" if self._state is None else "step called on a terminal state"
+            )
         x, x_dot, theta, theta_dot, steps = self._state
-        if steps >= MAX_STEPS or out_of_bounds(x, theta):
-            raise TerminalStepError("step called on a terminal state")
         x_acc, theta_acc = accelerations(theta, theta_dot, FORCE_MAG if action == RIGHT else -FORCE_MAG)
         x += TAU * x_dot
         x_dot += TAU * x_acc
@@ -169,9 +173,10 @@ class TabularCartPole:
         steps += 1
         failed = out_of_bounds(x, theta)
         capped = steps >= MAX_STEPS
+        done = self._done = failed or capped
         self.truncated = capped and not failed
         state = self._state = (x, x_dot, theta, theta_dot, steps)
-        return self.discretizer.index(state), 1.0, failed or capped
+        return self.discretizer.index(state), 1.0, done
 
 
 class TabularChain:

@@ -4,12 +4,18 @@ A 64-bit seed is expanded into generator state with splitmix64; draws come
 from xoshiro256** (Blackman & Vigna). Identical seeds give identical draw
 sequences within one build of this package; bit-exact agreement with other
 implementations of the same generators is not a goal.
+
+Outputs are generated in blocks of ``_BLOCK`` with the generator state in
+locals, then handed out one at a time. The stream is exactly the one-at-a-time
+xoshiro256** stream: blocking changes when an output is computed, never its
+value or its place in the sequence.
 """
 
 from __future__ import annotations
 
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 1.0 / (1 << 53)
+_BLOCK = 64  # outputs generated per refill
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -29,7 +35,7 @@ class Rng:
     call order, so a seed fully determines the run.
     """
 
-    __slots__ = ("_s0", "_s1", "_s2", "_s3")
+    __slots__ = ("_s0", "_s1", "_s2", "_s3", "_block")
 
     def __init__(self, seed: int) -> None:
         if not 0 <= seed <= _MASK64:
@@ -39,21 +45,33 @@ class Rng:
         state, self._s1 = _splitmix64(state)
         state, self._s2 = _splitmix64(state)
         state, self._s3 = _splitmix64(state)
+        self._block: list[int] = []  # outputs not yet handed out, the next one last
+
+    def _refill(self) -> None:
+        """Run the xoshiro256** step for the next ``_BLOCK`` outputs."""
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        block = []
+        for _ in range(_BLOCK):
+            tmp = (s1 * 5) & _MASK64
+            block.append(((((tmp << 7) | (tmp >> 57)) & _MASK64) * 9) & _MASK64)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        block.reverse()
+        self._block = block
 
     def next_u64(self) -> int:
         """Next raw 64-bit output."""
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        tmp = (s1 * 5) & _MASK64
-        result = ((((tmp << 7) | (tmp >> 57)) & _MASK64) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return result
+        block = self._block
+        if not block:
+            self._refill()
+            block = self._block
+        return block.pop()
 
     def next_f64(self) -> float:
         """Uniform float in [0, 1), on the 53-bit grid."""

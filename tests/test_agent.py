@@ -12,7 +12,7 @@ from rbed.agent import (
     run_episode,
     select_action,
 )
-from rbed.config import DEFAULT_CLIPS, AgentConfig
+from rbed.config import DEFAULT_CLIPS, MAX_CLIP, AgentConfig
 from rbed.envs import LEFT, RIGHT, THETA_THRESHOLD, TabularCartPole, TabularChain
 from rbed.rng import Rng
 
@@ -124,19 +124,34 @@ def _parent_index(d, state):
     return idx
 
 
+# an even count puts a cell edge at about 0.0, among the subnormals
+_COUNTS = st.integers(1, 12)
+# clips from the least subnormal to the largest a config allows
+_CLIPS = st.one_of(
+    st.floats(0.01, 10.0),
+    st.floats(5e-324, MAX_CLIP),
+    st.sampled_from([5e-324, 1e-323, 2.2250738585072014e-308, 1e-300, MAX_CLIP]),
+)
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+)
+_ULP_NUDGES = st.lists(st.sampled_from([-math.inf, math.inf]), max_size=4)
+
+
 @st.composite
 def _grid_and_state(draw):
-    buckets = tuple(draw(st.integers(1, 12)) for _ in range(4))
-    clips = tuple(draw(st.floats(0.01, 10.0)) for _ in range(4))
+    buckets = tuple(draw(_COUNTS) for _ in range(4))
+    clips = tuple(draw(_CLIPS) for _ in range(4))
     state = []
     for count, clip in zip(buckets, clips):
         if draw(st.booleans()):
-            state.append(draw(st.floats(allow_nan=False, allow_infinity=False)))
+            state.append(draw(_VALUES))
         else:
             # a cell edge (clips included), nudged by a few ulps
             edge = -clip + draw(st.integers(0, count)) * (2.0 * clip / count)
-            for _ in range(draw(st.integers(0, 4))):
-                edge = math.nextafter(edge, draw(st.sampled_from([-math.inf, math.inf])))
+            for direction in draw(_ULP_NUDGES):
+                edge = math.nextafter(edge, direction)
             state.append(edge)
     return Discretizer(buckets, clips), tuple(state)
 

@@ -516,8 +516,14 @@ def test_read_aggregate_rejects_foreign_csv(tmp_path):
         (["1,inf,,1.0"], "episode 1: 'inf' is not a finite number"),
         (["1,1.0,,1.0", "2,1.0,-inf,1.0"], "episode 2: '-inf' is not a finite number"),
         (["1,1.0,,nan"], "episode 1: 'nan' is not a finite number"),
+        (["1,abc,,1.0"], "episode 1: 'abc' is not a finite number"),
+        (["x,1.0,,1.0"], "episode 'x' is not an integer"),
+        (["1,,,1.0"], "episode 1: blank mean reward or epsilon"),
     ],
-    ids=["episode_gap", "rolling_gap", "inf_reward", "minus_inf_rolling", "nan_epsilon"],
+    ids=[
+        "episode_gap", "rolling_gap", "inf_reward", "minus_inf_rolling", "nan_epsilon",
+        "text_reward", "text_episode", "blank_reward",
+    ],
 )
 def test_read_aggregate_rejects_damaged_rows(tmp_path, capsys, rows, message):
     path = tmp_path / "aggregate.csv"

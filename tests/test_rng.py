@@ -20,6 +20,30 @@ KNOWN_U64 = {
     2**64 - 1: (10328197420357168392, 14156678507024973869, 9357971779955476126),
 }
 
+# Frozen outputs of seed 1 at 0-based positions 62..66 and 126..130, read from
+# the one-output-at-a-time generator: they straddle the first two block
+# refills, so an off-by-one in a refill shows here.
+SEED1_AROUND_REFILLS = {
+    62: (
+        7027364917918958883, 17772373227798502682, 10679904434473632331,
+        16846193018840951402, 10394188663930338048,
+    ),
+    126: (
+        18392035219689121431, 1344795051468874542, 10928998634108886214,
+        1487820051808273100, 1367033711444785463,
+    ),
+}
+
+# Seed 1 after 58 raw outputs, then five rounds of (next_f64,
+# next_int_below(3), next_u64), across the first refill.
+SEED1_MIXED_FROM_58 = (
+    0.5270895714099085, 0, 11438400802113138699,
+    0.6895906245485712, 0, 17772373227798502682,
+    0.5789587794896942, 2, 10394188663930338048,
+    0.8335035793225488, 2, 16946530294876730622,
+    0.16225307512642673, 1, 7652075548764937174,
+)
+
 
 def test_splitmix64_reference_sequence():
     state = 0
@@ -34,6 +58,24 @@ def test_splitmix64_reference_sequence():
 def test_known_answer_streams(seed, expected):
     rng = Rng(seed)
     assert tuple(rng.next_u64() for _ in range(3)) == expected
+
+
+@pytest.mark.parametrize("start,expected", sorted(SEED1_AROUND_REFILLS.items()))
+def test_outputs_around_block_refills(start, expected):
+    rng = Rng(1)
+    for _ in range(start):
+        rng.next_u64()
+    assert tuple(rng.next_u64() for _ in range(len(expected))) == expected
+
+
+def test_mixed_draws_across_a_refill():
+    rng = Rng(1)
+    for _ in range(58):
+        rng.next_u64()
+    draws = []
+    for _ in range(5):
+        draws += [rng.next_f64(), rng.next_int_below(3), rng.next_u64()]
+    assert tuple(draws) == SEED1_MIXED_FROM_58
 
 
 def test_same_seed_same_stream():
