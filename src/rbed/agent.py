@@ -7,8 +7,8 @@ a dense table indexed by flat bucket index and action.
 
 from __future__ import annotations
 
+import functools
 import math
-import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -18,11 +18,6 @@ from .metrics import EpisodeRecord
 from .rng import _INV_2_53, Rng
 
 QTable = list  # list[list[float]], shape (n_states, n_actions)
-
-
-_SIGN = 1 << 63
-_DOUBLE = struct.Struct("<d")
-_UINT64 = struct.Struct("<Q")
 
 
 def bucket(value: float, clip: float, count: int) -> int:
@@ -41,43 +36,36 @@ def bucket(value: float, clip: float, count: int) -> int:
     return cell if cell < count else count - 1  # guard the v ~ clip rounding edge
 
 
-def _ordered(value: float) -> int:
-    """Position of a double in the total order of doubles (-0.0 just below 0.0)."""
-    (bits,) = _UINT64.unpack(_DOUBLE.pack(value))
-    return bits if bits < _SIGN else _SIGN - 1 - bits
+@functools.cache
+def _edges(clip: float, count: int) -> tuple[float, ...]:
+    """For each k in 1..count-1, the least double whose ``bucket`` is k or more.
 
-
-def _from_ordered(key: int) -> float:
-    """Inverse of ``_ordered``."""
-    return _DOUBLE.unpack(_UINT64.pack(key if key >= 0 else _SIGN - 1 - key))[0]
-
-
-def _edge(k: int, clip: float, count: int) -> float:
-    """The least double whose ``bucket`` is k or more, for 0 < k < count.
-
-    A search over the order of doubles, not a walk one ulp at a time: that
-    walk would cross every subnormal to reach an edge at 0.0. It probes out
-    from the real-valued edge, which is usually within an ulp or two of the
-    answer, by steps of 1, 2, 4, ... 128 doubles, then bisects what is left
-    of the bracket. An edge takes two ``bucket`` calls when the guess is
-    close, and at most about 72 (an edge near 0.0 is about 2**62 doubles
-    from its guess).
+    Each edge is a bisection over values inside a checked bracket: a few ulps
+    around the real-valued edge, widened to the clip on a side that fails the
+    check, so the slack affects only the speed. Halving the gap ends when the
+    midpoint equals an end, which is when the ends are adjacent doubles; it
+    reaches an edge near 0.0 without crossing the subnormals one at a time.
+    Cached, so each (clip, count) is searched once per process.
     """
-    lo, hi = _ordered(-clip), _ordered(clip)  # bucket(lo) < k <= bucket(hi)
-    probe, step = _ordered(k * (2.0 * clip) / count - clip), 1
-    while lo < probe < hi and step <= 128:
-        if bucket(_from_ordered(probe), clip, count) >= k:
-            hi, probe = probe, probe - step
-        else:
-            lo, probe = probe, probe + step
-        step *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bucket(_from_ordered(mid), clip, count) >= k:
-            hi = mid
-        else:
-            lo = mid
-    return _from_ordered(hi)
+    slack = 4 * math.ulp(clip)
+    edges = []
+    for k in range(1, count):
+        guess = k * (2.0 * clip) / count - clip
+        lo, hi = max(guess - slack, -clip), min(guess + slack, clip)
+        if bucket(lo, clip, count) >= k:
+            lo = -clip
+        if bucket(hi, clip, count) < k:
+            hi = clip
+        while True:  # bucket(lo) < k <= bucket(hi)
+            mid = (lo + hi) / 2
+            if mid == lo or mid == hi:
+                break
+            if bucket(mid, clip, count) >= k:
+                hi = mid
+            else:
+                lo = mid
+        edges.append(hi)
+    return tuple(edges)
 
 
 @dataclass(frozen=True)
@@ -90,12 +78,13 @@ class Discretizer:
     so ``index`` reads only the live ones.
 
     ``index`` does not evaluate ``bucket``: for each live dimension it keeps
-    the edges from ``_edge``, the least double at which ``bucket`` reaches
+    the edges from ``_edges``, the least double at which ``bucket`` reaches
     each of 1..count-1, and counts the edges at or below the value with
     ``bisect_right``. That count equals ``bucket`` for every non-NaN double,
     because ``bucket`` never decreases as the value grows (each of its
     roundings is monotone), so ``bucket(v) >= k`` exactly when ``v`` is at
-    or above edge k.
+    or above edge k. The edges are found by bisection over values inside a
+    checked bracket, once per (clip, count) in a process.
     """
 
     buckets: tuple[int, int, int, int]
@@ -105,11 +94,7 @@ class Discretizer:
 
     def __post_init__(self) -> None:
         live = tuple(
-            (
-                i,
-                tuple(_edge(k, self.clips[i], self.buckets[i]) for k in range(1, self.buckets[i])),
-                math.prod(self.buckets[i + 1 :]),
-            )
+            (i, _edges(self.clips[i], self.buckets[i]), math.prod(self.buckets[i + 1 :]))
             for i in range(4)
             if self.buckets[i] > 1
         )

@@ -128,7 +128,8 @@ def compare(
     """Run two configurations over the identical protocol and summarize.
 
     Only the scheduler and agent may differ; episodes, seeds, and the
-    environment must match so the comparison is like for like.
+    environment (a chain's length included) must match so the comparison
+    is like for like.
     """
     validate_config(config_a)
     validate_config(config_b)
@@ -141,6 +142,10 @@ def compare(
     if config_a.environment != config_b.environment:
         raise ConfigError(
             f"environments differ: {config_a.environment!r} != {config_b.environment!r}"
+        )
+    if config_a.environment == "chain" and config_a.chain_states != config_b.chain_states:
+        raise ConfigError(
+            f"chain_states differ: {config_a.chain_states} != {config_b.chain_states}"
         )
     kind_a = config_a.scheduler.kind
     kind_b = config_b.scheduler.kind

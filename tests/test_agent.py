@@ -5,8 +5,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rbed.agent
 from rbed.agent import (
     Discretizer,
+    _edges,
     new_q_table,
     q_update,
     run_episode,
@@ -77,6 +79,23 @@ def test_n_states_is_bucket_product():
     assert Discretizer((1, 1, 8, 10), (1, 1, 1, 1)).n_states == 80
 
 
+def test_edges_are_searched_once_per_grid(monkeypatch):
+    calls = []
+    real_bucket = rbed.agent.bucket
+
+    def counting_bucket(value, clip, count):
+        calls.append(value)
+        return real_bucket(value, clip, count)
+
+    monkeypatch.setattr(rbed.agent, "bucket", counting_bucket)
+    grid = ((1, 1, 5, 11), (1.0, 1.0, 0.3125, 1.6875))  # clips no other test uses
+    Discretizer(*grid)
+    assert calls
+    calls.clear()
+    Discretizer(*grid)
+    assert calls == []
+
+
 def test_index_covers_all_cells():
     # sampling one point per cell must hit every flat index exactly once
     d = Discretizer((2, 3, 4, 5), (1.0, 1.0, 1.0, 1.0))
@@ -145,13 +164,21 @@ def _grid_and_state(draw):
     clips = tuple(draw(_CLIPS) for _ in range(4))
     state = []
     for count, clip in zip(buckets, clips):
-        if draw(st.booleans()):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
             state.append(draw(_VALUES))
-        else:
-            # a cell edge (clips included), nudged by a few ulps
+        elif kind == 1:
+            # a real-valued cell edge (clips included), nudged by a few ulps
             edge = -clip + draw(st.integers(0, count)) * (2.0 * clip / count)
             for direction in draw(_ULP_NUDGES):
                 edge = math.nextafter(edge, direction)
+            state.append(edge)
+        else:
+            # a true edge or the double just below it: for an even count the
+            # middle one lies near -ulp(clip) / 2, out of reach of a nudged 0.0
+            edge = draw(st.sampled_from(_edges(clip, count) or (clip,)))
+            if draw(st.booleans()):
+                edge = math.nextafter(edge, -math.inf)
             state.append(edge)
     return Discretizer(buckets, clips), tuple(state)
 

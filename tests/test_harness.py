@@ -407,6 +407,9 @@ def test_compare_rejects_mismatched_protocols():
         compare(base, small_config(seeds=[1, 3]))
     with pytest.raises(ConfigError):
         compare(base, small_config(environment="chain", agent={}))
+    chain = small_config(environment="chain", agent={})
+    with pytest.raises(ConfigError, match="chain_states"):
+        compare(chain, small_config(environment="chain", agent={}, chain_states=40))
 
 
 def test_compare_labels_and_shape():
