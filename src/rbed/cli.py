@@ -15,7 +15,6 @@ from .config import (
     config_from_dict,
     load_config,
     parse_seed_spec,
-    validate_config,
 )
 from .emit import emit_compare, emit_results, figures_from_dir
 from .metrics import solve_count
@@ -33,7 +32,6 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
         config = replace(config, seeds=parse_seed_spec(args.seeds))
     if args.episodes is not None:
         config = replace(config, episodes=args.episodes)
-    validate_config(config)
     return config
 
 

@@ -183,7 +183,7 @@ def _check_fields(config: Any, where: str) -> None:
         elif get_origin(f.type) is tuple:
             items = get_args(f.type)
             if not isinstance(value, tuple):
-                raise ConfigError(f"{name} must be a list, got {value!r}")
+                raise ConfigError(f"{name} must be a tuple, got {value!r}")
             for i, item in enumerate(value):
                 _check_item(items[0], item, f.metadata, config, f"{name}[{i}]")
             if items[-1] is not Ellipsis:
@@ -255,16 +255,29 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return config
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def config_from_json(text: str) -> ExperimentConfig:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     return config_from_dict(data)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    return config_from_json(Path(path).read_text(encoding="utf-8"))
+    """Read a JSON config; a ConfigError from it names the file."""
+    try:
+        return config_from_json(Path(path).read_text(encoding="utf-8"))
+    except (ConfigError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def config_to_dict(config: Any) -> dict:

@@ -156,7 +156,10 @@ def _finite(path: Path, episode: int, text: str) -> float:
 
 def read_aggregate_csv(path: Path) -> AggregateCurves:
     """Parse an aggregate CSV back into curves (for the plot command)."""
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     lines = [line for line in text.split("\n") if line]
     if not lines or lines[0] != AGGREGATE_HEADER:
         raise ValueError(f"{path} is not an aggregate CSV (bad header)")
@@ -202,7 +205,10 @@ def figures_from_dir(in_dir: str | Path, out_dir: str | Path) -> list[Path]:
     src = Path(in_dir)
     report_path = src / "report.json"
     if report_path.is_file():
-        meta = json.loads(report_path.read_text(encoding="utf-8"))
+        try:
+            meta = json.loads(report_path.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{report_path}: {exc}") from None
         arms = [meta.get(arm) if isinstance(meta, dict) else None for arm in ("a", "b")]
         if not all(isinstance(arm, dict) and isinstance(arm.get("label"), str) for arm in arms):
             raise ValueError(f"{report_path}: arms a and b must be objects with a string label")

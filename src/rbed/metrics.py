@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 SOLVED_THRESHOLD = 195.0
 SOLVED_WINDOW = 100
@@ -78,6 +78,17 @@ def solved_at(
     return None
 
 
+def mean(values: Sequence[float]) -> Optional[float]:
+    """Exactly rounded mean (``math.fsum``, so order does not matter); None
+    if there are no values."""
+    return math.fsum(values) / len(values) if values else None
+
+
+def _pointwise_mean(series: Iterable[Sequence[float]]) -> tuple[float, ...]:
+    """The mean at each position across equal-length series."""
+    return tuple(mean(column) for column in zip(*series))
+
+
 def solve_count(runs: Sequence[RunResult]) -> int:
     """Number of runs that were solved (``solved_at`` is an episode of the
     run, so a solved run was solved within its episode count)."""
@@ -94,31 +105,15 @@ def aggregate_runs(runs: Sequence[RunResult], window: int = SOLVED_WINDOW) -> Ag
     if not runs:
         raise ValueError("aggregate_runs needs at least one run")
     n_episodes = len(runs[0].records)
-    for run in runs:
+    for run in runs:  # zip would silently cut every series to the shortest
         if len(run.records) != n_episodes:
             raise ValueError(
                 f"runs have unequal episode counts: {len(run.records)} != {n_episodes}"
             )
-    n_runs = len(runs)
-    mean_reward = tuple(
-        math.fsum(run.records[i].total_reward for run in runs) / n_runs
-        for i in range(n_episodes)
-    )
-    mean_epsilon = tuple(
-        math.fsum(run.records[i].epsilon for run in runs) / n_runs
-        for i in range(n_episodes)
-    )
-    per_run_rolling = [
-        rolling_mean([r.total_reward for r in run.records], window) for run in runs
-    ]
-    n_rolling = len(per_run_rolling[0])
-    mean_rolling = tuple(
-        math.fsum(rolled[i] for rolled in per_run_rolling) / n_runs
-        for i in range(n_rolling)
-    )
+    rewards = [[r.total_reward for r in run.records] for run in runs]
     return AggregateCurves(
-        mean_reward=mean_reward,
-        mean_rolling=mean_rolling,
-        mean_epsilon=mean_epsilon,
+        mean_reward=_pointwise_mean(rewards),
+        mean_rolling=_pointwise_mean(rolling_mean(series, window) for series in rewards),
+        mean_epsilon=_pointwise_mean([r.epsilon for r in run.records] for run in runs),
         window=window,
     )

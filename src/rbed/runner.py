@@ -7,21 +7,15 @@ epsilon recorded for an episode is the value that was in force during it.
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass
+import reprlib
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 from .agent import Discretizer, new_q_table, run_episode
 from .config import ConfigError, ExperimentConfig, validate_config
 from .envs import TabularCartPole, TabularChain
-from .metrics import (
-    AggregateCurves,
-    RunResult,
-    aggregate_runs,
-    solve_count,
-    solved_at,
-)
+from .metrics import AggregateCurves, RunResult, aggregate_runs, mean, solved_at
 from .rng import Rng
 
 REACH_MARK = 200.0  # episode reward regarded as hitting the ceiling
@@ -99,12 +93,6 @@ class ComparisonReport:
     solve_ratio: Optional[float]
 
 
-def _mean(values: Sequence[float]) -> Optional[float]:
-    if not values:
-        return None
-    return math.fsum(values) / len(values)
-
-
 def _arm_report(label: str, config: ExperimentConfig, runs: Sequence[RunResult]) -> ArmReport:
     solved = [run.solved_at for run in runs if run.solved_at is not None]
     first_200 = tuple(first_reaching(run.records) for run in runs)
@@ -114,10 +102,10 @@ def _arm_report(label: str, config: ExperimentConfig, runs: Sequence[RunResult])
         config=config,
         runs=tuple(runs),
         solve_budget=config.episodes,
-        solve_count=solve_count(runs),
-        mean_solve_episode=_mean(solved),
+        solve_count=len(solved),
+        mean_solve_episode=mean(solved),
         first_200=first_200,
-        mean_first_200=_mean(reached),
+        mean_first_200=mean(reached),
         curves=aggregate_runs(runs),
     )
 
@@ -127,26 +115,20 @@ def compare(
 ) -> ComparisonReport:
     """Run two configurations over the identical protocol and summarize.
 
-    Only the scheduler and agent may differ; episodes, seeds, and the
-    environment (a chain's length included) must match so the comparison
-    is like for like.
+    Only the scheduler and agent may differ; every other field of
+    ``ExperimentConfig`` must match so the comparison is like for like.
     """
     validate_config(config_a)
     validate_config(config_b)
-    if config_a.episodes != config_b.episodes:
-        raise ConfigError(
-            f"episode counts differ: {config_a.episodes} != {config_b.episodes}"
-        )
-    if config_a.seeds != config_b.seeds:
-        raise ConfigError("seed lists differ between the two configs")
-    if config_a.environment != config_b.environment:
-        raise ConfigError(
-            f"environments differ: {config_a.environment!r} != {config_b.environment!r}"
-        )
-    if config_a.environment == "chain" and config_a.chain_states != config_b.chain_states:
-        raise ConfigError(
-            f"chain_states differ: {config_a.chain_states} != {config_b.chain_states}"
-        )
+    differ = [
+        f"{f.name} ({reprlib.repr(getattr(config_a, f.name))}"
+        f" != {reprlib.repr(getattr(config_b, f.name))})"
+        for f in fields(ExperimentConfig)
+        if f.name not in ("scheduler", "agent")
+        and getattr(config_a, f.name) != getattr(config_b, f.name)
+    ]
+    if differ:
+        raise ConfigError(f"the two configs differ beyond scheduler and agent: {', '.join(differ)}")
     kind_a = config_a.scheduler.kind
     kind_b = config_b.scheduler.kind
     label_a = kind_a if kind_a != kind_b else f"a:{kind_a}"

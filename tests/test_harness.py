@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields, replace
 from pathlib import Path
 from xml.sax.saxutils import escape as sax_escape
 
@@ -260,6 +261,10 @@ def test_config_from_json_and_file(tmp_path):
     assert config_from_json('{"episodes": 9}').episodes == 9
     with pytest.raises(ConfigError):
         config_from_json("{not json")
+    with pytest.raises(ConfigError, match="duplicate key 'episodes'"):
+        config_from_json('{"episodes": 1, "seeds": [1], "episodes": 2}')
+    with pytest.raises(ConfigError, match="duplicate key 'alpha'"):
+        config_from_json('{"agent": {"alpha": 0.5, "gamma": 0.9, "alpha": 0.6}}')
     path = tmp_path / "config.json"
     path.write_text('{"seeds": [3], "episodes": 2}')
     config = load_config(path)
@@ -270,6 +275,9 @@ def test_validate_config_direct():
     config = ExperimentConfig(episodes=0)
     with pytest.raises(ConfigError):
         validate_config(config)
+    # parsing makes every JSON list a tuple, so only code can pass a list here
+    with pytest.raises(ConfigError, match="seeds must be a tuple, got \\[1, 2\\]"):
+        validate_config(replace(ExperimentConfig(), seeds=[1, 2]))
 
 
 # -- runner ------------------------------------------------------------------
@@ -399,22 +407,41 @@ def test_first_reaching():
     assert first_reaching([]) is None
 
 
-def test_compare_rejects_mismatched_protocols():
-    base = small_config()
-    with pytest.raises(ConfigError):
-        compare(base, small_config(episodes=31))
-    with pytest.raises(ConfigError):
-        compare(base, small_config(seeds=[1, 3]))
-    with pytest.raises(ConfigError):
-        compare(base, small_config(environment="chain", agent={}))
-    chain = small_config(environment="chain", agent={})
-    with pytest.raises(ConfigError, match="chain_states"):
-        compare(chain, small_config(environment="chain", agent={}, chain_states=40))
+PROTOCOL_FIELDS = [f for f in fields(ExperimentConfig) if f.name not in ("scheduler", "agent")]
+
+
+def _other_value(field, value):
+    """A value for ``field`` that differs from ``value`` and still validates."""
+    if "choices" in field.metadata:
+        return next(choice for choice in field.metadata["choices"] if choice != value)
+    if isinstance(value, tuple):
+        return value + (max(value) + 1,)
+    return value + 1
+
+
+@pytest.mark.parametrize("field", PROTOCOL_FIELDS, ids=lambda field: field.name)
+def test_compare_rejects_mismatched_protocols(field):
+    base = small_config()  # cart-pole, so chain_states is unused and must still match
+    other = replace(base, **{field.name: _other_value(field, getattr(base, field.name))})
+    validate_config(other)
+    with pytest.raises(ConfigError) as exc:
+        compare(base, other)
+    assert [f.name for f in PROTOCOL_FIELDS if f.name in str(exc.value)] == [field.name]
+
+
+def test_compare_names_every_differing_field_briefly():
+    with pytest.raises(ConfigError) as exc:
+        compare(small_config(), small_config(episodes=31, seeds="1..10000"))
+    message = str(exc.value)
+    assert "episodes (30 != 31)" in message
+    assert "seeds ((1, 2) != (1, 2, 3, 4, 5, 6, ...))" in message
 
 
 def test_compare_labels_and_shape():
     a = small_config()
-    b = small_config(scheduler={"kind": "exponential"})
+    b = small_config(
+        scheduler={"kind": "exponential"}, agent={"alpha": 0.5, "buckets": [1, 1, 4, 4]}
+    )
     report = compare(a, b)
     assert report.a.label == "rbed"
     assert report.b.label == "exponential"
@@ -522,15 +549,17 @@ def test_read_aggregate_rejects_foreign_csv(tmp_path):
         (["1,abc,,1.0"], "episode 1: 'abc' is not a finite number"),
         (["x,1.0,,1.0"], "episode 'x' is not an integer"),
         (["1,,,1.0"], "episode 1: blank mean reward or epsilon"),
+        (["1,1.0,,1.0\xff"], "can't decode byte 0xff"),
     ],
     ids=[
         "episode_gap", "rolling_gap", "inf_reward", "minus_inf_rolling", "nan_epsilon",
-        "text_reward", "text_episode", "blank_reward",
+        "text_reward", "text_episode", "blank_reward", "not_utf8",
     ],
 )
 def test_read_aggregate_rejects_damaged_rows(tmp_path, capsys, rows, message):
     path = tmp_path / "aggregate.csv"
-    path.write_text("\n".join([AGGREGATE_HEADER, *rows]) + "\n")
+    # latin-1 writes "\xff" as the byte 0xff, which is not UTF-8
+    path.write_text("\n".join([AGGREGATE_HEADER, *rows]) + "\n", encoding="latin-1")
     with pytest.raises(ValueError, match=message):
         read_aggregate_csv(path)
     assert main(["plot", "--in", str(tmp_path), "--out", str(tmp_path / "figs")]) == 1
@@ -541,11 +570,18 @@ def test_read_aggregate_rejects_damaged_rows(tmp_path, capsys, rows, message):
 
 @pytest.mark.parametrize(
     "report",
-    ["{}", "[1]", '{"a": {"label": 3}, "b": {"label": "b"}}', '{"a": {"label": "a"}, "b": 7}'],
-    ids=["empty_object", "list", "numeric_label", "arm_not_object"],
+    [
+        b"{}",
+        b"[1]",
+        b'{"a": {"label": 3}, "b": {"label": "b"}}',
+        b'{"a": {"label": "a"}, "b": 7}',
+        b"{not json",
+        b'{"a": "\xff"}',
+    ],
+    ids=["empty_object", "list", "numeric_label", "arm_not_object", "not_json", "not_utf8"],
 )
 def test_plot_rejects_damaged_report(tmp_path, capsys, report):
-    (tmp_path / "report.json").write_text(report)
+    (tmp_path / "report.json").write_bytes(report)
     with pytest.raises(ValueError, match="report.json"):
         figures_from_dir(tmp_path, tmp_path / "figs")
     assert main(["plot", "--in", str(tmp_path), "--out", str(tmp_path / "figs")]) == 1
@@ -765,7 +801,28 @@ def test_cli_compare_rejects_protocol_mismatch(tmp_path, capsys):
 def test_cli_bad_config_exits_2(tmp_path, capsys):
     bad = write_config(tmp_path, "bad.json", {"episodes": 0})
     assert main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {bad}: episodes" in capsys.readouterr().err
+    good = write_config(tmp_path, "good.json", SMALL)
+    bad_b = write_config(tmp_path, "b.json", {"scheduler": {"kind": "rbed", "reward_target": 0}})
+    cmd = ["compare", "--config-a", good, "--config-b", bad_b, "--out", str(tmp_path / "o")]
+    assert main(cmd) == 2
+    assert f"error: {bad_b}: scheduler.reward_target" in capsys.readouterr().err
+    not_utf8 = tmp_path / "latin.json"
+    not_utf8.write_bytes(b'{"episodes": 1}\xff')
+    assert main(["run", "--config", str(not_utf8), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {not_utf8}: 'utf-8' codec" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_overrides_are_validated(tmp_path, capsys):
+    config = write_config(tmp_path, "c.json", SMALL)
+    out = str(tmp_path / "o")
+    assert main(["run", "--out", out, "--episodes", "0"]) == 2
+    assert "episodes must be >= 1" in capsys.readouterr().err
+    cmd = ["compare", "--config-a", config, "--config-b", config, "--out", out, "--episodes", "0"]
+    assert main(cmd) == 2
+    assert "episodes must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_bad_seed_spec_exits_2(tmp_path, capsys):
