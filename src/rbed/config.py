@@ -148,18 +148,24 @@ def _join(where: str, name: str) -> str:
     return f"{where}.{name}" if where else name
 
 
-def _check_item(item_type: type, value: Any, bounds: dict, owner: Any, name: str) -> None:
-    if item_type is str:
-        ok, wanted = isinstance(value, str), "a string"
-    elif item_type is int:
-        ok, wanted = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    else:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        ok, wanted = ok and math.isfinite(value), "a finite number"
-    if not ok:
-        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
-    if "choices" in bounds and value not in bounds["choices"]:
-        raise ConfigError(f"{name} must be one of {list(bounds['choices'])}, got {value!r}")
+_ITEM_TYPES = {
+    str: (lambda v: isinstance(v, str), "a string"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+        "a finite number",
+    ),
+}
+
+
+def _check_items(
+    item_type: type, values: tuple, bounds: dict, owner: Any, name: str, indexed: bool
+) -> None:
+    """Check each value against the item type and bounds, looked up once per
+    field; an error names ``name[i]`` when ``indexed``, else ``name``."""
+    test, wanted = _ITEM_TYPES[item_type]
+    choices = bounds.get("choices")
+    comparisons = []
     for key, (compare, symbol) in _COMPARISONS.items():
         if key not in bounds:
             continue
@@ -167,8 +173,20 @@ def _check_item(item_type: type, value: Any, bounds: dict, owner: Any, name: str
         if isinstance(limit, str):  # a sibling field: epsilon_min <= epsilon_start
             limit = getattr(owner, limit)
             label = f"{label} ({limit!r})"
-        if not compare(value, limit):
-            raise ConfigError(f"{name} must be {symbol} {label}, got {value!r}")
+        comparisons.append((compare, limit, f"must be {symbol} {label}"))
+    for i, value in enumerate(values):
+        if not test(value):
+            problem = f"must be {wanted}"
+        elif choices is not None and value not in choices:
+            problem = f"must be one of {list(choices)}"
+        else:
+            for compare, limit, problem in comparisons:
+                if not compare(value, limit):
+                    break
+            else:
+                continue
+        where = f"{name}[{i}]" if indexed else name
+        raise ConfigError(f"{where} {problem}, got {value!r}")
 
 
 def _check_fields(config: Any, where: str) -> None:
@@ -184,8 +202,7 @@ def _check_fields(config: Any, where: str) -> None:
             items = get_args(f.type)
             if not isinstance(value, tuple):
                 raise ConfigError(f"{name} must be a tuple, got {value!r}")
-            for i, item in enumerate(value):
-                _check_item(items[0], item, f.metadata, config, f"{name}[{i}]")
+            _check_items(items[0], value, f.metadata, config, name, indexed=True)
             if items[-1] is not Ellipsis:
                 if len(value) != len(items):
                     raise ConfigError(f"{name} must have {len(items)} items, got {value!r}")
@@ -195,7 +212,7 @@ def _check_fields(config: Any, where: str) -> None:
             if limit is not None and math.prod(value) > limit:
                 raise ConfigError(f"{name} must multiply to <= {limit}, got {value!r}")
         else:
-            _check_item(f.type, value, f.metadata, config, name)
+            _check_items(f.type, (value,), f.metadata, config, name, indexed=False)
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -225,8 +242,13 @@ def _parse_value(hint: Any, value: Any, bounds: dict, name: str) -> Any:
             value = bounds["from_str"](value)
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{name} must be a list, got {value!r}")
-        return tuple(_parse_value(get_args(hint)[0], item, bounds, name) for item in value)
-    if hint is float and type(value) is int:
+        item = get_args(hint)[0]  # items are scalars
+        return tuple(value) if item is not float else tuple(_parse_float(v, name) for v in value)
+    return _parse_float(value, name) if hint is float else value
+
+
+def _parse_float(value: Any, name: str) -> Any:
+    if type(value) is int:
         # JSON writes 1.0 as 1; keep float fields float so outputs are stable.
         try:
             return float(value)

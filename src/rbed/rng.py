@@ -5,17 +5,45 @@ from xoshiro256** (Blackman & Vigna). Identical seeds give identical draw
 sequences within one build of this package; bit-exact agreement with other
 implementations of the same generators is not a goal.
 
-Outputs are generated in blocks of ``_BLOCK`` with the generator state in
-locals, then handed out one at a time. The stream is exactly the one-at-a-time
-xoshiro256** stream: blocking changes when an output is computed, never its
-value or its place in the sequence.
+The stream is made ``_LANES`` positions at a time. xoshiro256**'s state
+transition T is linear over GF(2), so the state at stream position ``base + n``
+is T^n applied to the state at ``base``, and T^n equals q(T) for
+q = x^n mod p, where p is T's degree-256 characteristic polynomial. Applying
+q(T) -- step the state 256 times and XOR up the states where q has a 1 -- is
+the generator's standard jump-ahead.
+
+Each refill holds ``_LANES`` copies of the generator in one set of four Python
+ints: lane i is a 64-bit word in the low half of the i-th 128-bit slot, and
+sits at stream position ``base + i * _LANE_STEPS``. The 64 spare bits above
+each word take the carries of ``* 5`` and ``* 9`` and the spill of the
+rotates, and ``_LANE_MASK`` clears them, so one big-int operation steps every
+lane. ``_LANE_STEPS`` steps give the next ``_LANE_STEPS * _LANES`` outputs;
+they are handed out lane by lane, so in stream order. Before the next round
+every lane jumps ahead ``(_LANES - 1) * _LANE_STEPS`` steps, over the
+positions the other lanes made. The first refill builds the lanes from the
+seed state by doubling: jump every lane built so far by as many lanes and
+place the results above them.
+
+Every output is the value the one-at-a-time generator gives at the same
+position; only when it is computed changes. The polynomials are derived on
+the first refill (Berlekamp-Massey over 512 bits of the state sequence), not
+at import.
 """
 
 from __future__ import annotations
 
+import sys
+from functools import cache
+
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 1.0 / (1 << 53)
-_BLOCK = 64  # outputs generated per refill
+_LANES = 32  # generator copies stepped together
+_LANE_STEPS = 256  # outputs per lane per refill
+_LANE_MASK = sum(_MASK64 << (128 * i) for i in range(_LANES))
+# Index of lane i's word among the 64-bit words of one step's outputs.
+_LANE_WORDS = tuple(
+    2 * i if sys.byteorder == "little" else 2 * _LANES - 1 - 2 * i for i in range(_LANES)
+)
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -27,6 +55,83 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
+def _jump(
+    s0: int, s1: int, s2: int, s3: int, poly: int, mask: int = _LANE_MASK
+) -> tuple[int, int, int, int]:
+    """Apply poly(T) to every lane of a state: T^n when poly = x^n mod p."""
+    a0 = a1 = a2 = a3 = 0
+    while True:
+        if poly & 1:
+            a0 ^= s0
+            a1 ^= s1
+            a2 ^= s2
+            a3 ^= s3
+        poly >>= 1
+        if not poly:
+            return a0, a1, a2, a3
+        t = (s1 << 17) & mask
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & mask
+
+
+@cache
+def _char_poly() -> int:
+    """T's characteristic polynomial (bit k is the coefficient of x^k).
+
+    Berlekamp-Massey over 512 bits of one state bit's sequence gives its
+    minimal polynomial; it has degree 256 because T's characteristic
+    polynomial is primitive (the period is 2**256 - 1).
+    """
+    state = (1, 2, 3, 4)  # any nonzero state
+    window = 0  # the bits so far, the newest at bit 0
+    conn = prev = 1
+    length, gap = 0, 1
+    for n in range(512):
+        window = (window << 1) | (state[0] & 1)
+        state = _jump(*state, 2, _MASK64)
+        if not (conn & window).bit_count() & 1:
+            gap += 1
+            continue
+        last = conn
+        conn ^= prev << gap
+        if 2 * length <= n:
+            length, prev, gap = n + 1 - length, last, 1
+        else:
+            gap += 1
+    # the recurrence's connection polynomial, reversed, is the characteristic one
+    return int(format(conn, f"0{length + 1}b")[::-1], 2)
+
+
+def _mulmod(a: int, b: int, p: int) -> int:
+    """a * b mod p over GF(2)."""
+    top = 1 << (p.bit_length() - 1)
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= p
+    return r
+
+
+@cache
+def _x_pow(n: int) -> int:
+    """x^n mod p, by square-and-multiply."""
+    p = _char_poly()
+    r = 1
+    for bit in format(n, "b"):
+        r = _mulmod(r, r, p)
+        if bit == "1":
+            r = _mulmod(r, 2, p)
+    return r
+
+
 class Rng:
     """xoshiro256** generator owned by exactly one run.
 
@@ -35,7 +140,7 @@ class Rng:
     call order, so a seed fully determines the run.
     """
 
-    __slots__ = ("_s0", "_s1", "_s2", "_s3", "_block")
+    __slots__ = ("_s0", "_s1", "_s2", "_s3", "_lanes", "_block")
 
     def __init__(self, seed: int) -> None:
         if not 0 <= seed <= _MASK64:
@@ -45,23 +150,46 @@ class Rng:
         state, self._s1 = _splitmix64(state)
         state, self._s2 = _splitmix64(state)
         state, self._s3 = _splitmix64(state)
+        self._lanes = 1  # lanes the state holds: 1 until the first refill
         self._block: list[int] = []  # outputs not yet handed out, the next one last
 
     def _refill(self) -> None:
-        """Run the xoshiro256** step for the next ``_BLOCK`` outputs."""
+        """Make the next ``_LANE_STEPS * _LANES`` outputs, all lanes at once."""
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        block = []
-        for _ in range(_BLOCK):
-            tmp = (s1 * 5) & _MASK64
-            block.append(((((tmp << 7) | (tmp >> 57)) & _MASK64) * 9) & _MASK64)
-            t = (s1 << 17) & _MASK64
+        if self._lanes == _LANES:
+            # each lane moves past the positions the other lanes made
+            s0, s1, s2, s3 = _jump(s0, s1, s2, s3, _x_pow((_LANES - 1) * _LANE_STEPS))
+        else:
+            lanes = 1
+            while lanes < _LANES:
+                shift = 128 * lanes
+                j0, j1, j2, j3 = _jump(s0, s1, s2, s3, _x_pow(lanes * _LANE_STEPS))
+                s0 |= j0 << shift
+                s1 |= j1 << shift
+                s2 |= j2 << shift
+                s3 |= j3 << shift
+                lanes *= 2
+            self._lanes = lanes
+        mask = _LANE_MASK
+        outs = []
+        out = outs.append
+        for _ in range(_LANE_STEPS):
+            tmp = (s1 * 5) & mask
+            out((((tmp << 7) | (tmp >> 57)) & mask) * 9)
+            t = (s1 << 17) & mask
             s2 ^= s0
             s3 ^= s1
             s1 ^= s2
             s0 ^= s3
             s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+            s3 = ((s3 << 45) | (s3 >> 19)) & mask
         self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        # each output carries every lane's word in the low half of its slot
+        size, order = 16 * _LANES, sys.byteorder
+        words = memoryview(b"".join([o.to_bytes(size, order) for o in outs])).cast("Q")
+        block = []
+        for w in _LANE_WORDS:
+            block += words[w :: 2 * _LANES].tolist()
         block.reverse()
         self._block = block
 

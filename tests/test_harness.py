@@ -170,6 +170,10 @@ def test_validation_catches_bad_fields():
     # 2 * clip overflowed to inf and the run died on a NaN bucket index
     with pytest.raises(ConfigError, match=r"agent\.clips\[2\]"):
         config_from_dict({"agent": {"clips": [2.4, 3.0, 1e308, 1.7]}, "episodes": 2, "seeds": "1"})
+    # a bad item late in a long list is named by its own index
+    for item, problem in ((-1, "must be >= 0"), (2**64, "must be < "), (1.5, "must be an integer")):
+        with pytest.raises(ConfigError, match=rf"^seeds\[99998\] {problem}"):
+            config_from_dict({"seeds": [*range(1, 99999), item]})
 
 
 def test_q_table_cap_is_max_states():

@@ -6,7 +6,18 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from rbed.rng import Rng, _splitmix64
+from rbed.rng import (
+    _LANE_STEPS,
+    _LANES,
+    _MASK64,
+    Rng,
+    _char_poly,
+    _jump,
+    _splitmix64,
+    _x_pow,
+)
+
+ROUND = _LANE_STEPS * _LANES  # outputs made per refill
 
 # Published reference outputs for splitmix64 started from state 0.
 SPLITMIX_FROM_ZERO = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -21,8 +32,8 @@ KNOWN_U64 = {
 }
 
 # Frozen outputs of seed 1 at 0-based positions 62..66 and 126..130, read from
-# the one-output-at-a-time generator: they straddle the first two block
-# refills, so an off-by-one in a refill shows here.
+# the one-output-at-a-time generator. They straddled refills when a refill made
+# 64 outputs; a refill now makes 8192, so both sit inside the first lane.
 SEED1_AROUND_REFILLS = {
     62: (
         7027364917918958883, 17772373227798502682, 10679904434473632331,
@@ -34,8 +45,23 @@ SEED1_AROUND_REFILLS = {
     ),
 }
 
+# Frozen outputs of seed 1 around the first lane boundary (K - 2 .. K + 2, with
+# K = _LANE_STEPS = 256) and the first round boundary (K * L - 2 .. K * L + 2,
+# with L = _LANES = 32), read from the one-output-at-a-time generator: an
+# off-by-one in the lane order or the jump between rounds shows here.
+SEED1_AROUND_LANE_EDGES = {
+    254: (
+        6046563535967583039, 15239679110195664039, 8420850043650020136,
+        14600910899038844467, 17385368543129960077,
+    ),
+    8190: (
+        4732718515788499967, 787408621480617435, 15500100400480717202,
+        13451015298733305572, 254459383683401081,
+    ),
+}
+
 # Seed 1 after 58 raw outputs, then five rounds of (next_f64,
-# next_int_below(3), next_u64), across the first refill.
+# next_int_below(3), next_u64), frozen when refills held 64 outputs.
 SEED1_MIXED_FROM_58 = (
     0.5270895714099085, 0, 11438400802113138699,
     0.6895906245485712, 0, 17772373227798502682,
@@ -43,6 +69,37 @@ SEED1_MIXED_FROM_58 = (
     0.8335035793225488, 2, 16946530294876730622,
     0.16225307512642673, 1, 7652075548764937174,
 )
+
+
+def reference_state(seed):
+    state = seed
+    words = []
+    for _ in range(4):
+        state, word = _splitmix64(state)
+        words.append(word)
+    return tuple(words)
+
+
+def reference_step(s0, s1, s2, s3):
+    t = (s1 << 17) & _MASK64
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+    return s0, s1, s2, s3
+
+
+def reference_stream(seed, count):
+    """xoshiro256** one output at a time, straight from the published step."""
+    state = reference_state(seed)
+    outs = []
+    for _ in range(count):
+        tmp = (state[1] * 5) & _MASK64
+        outs.append(((((tmp << 7) | (tmp >> 57)) & _MASK64) * 9) & _MASK64)
+        state = reference_step(*state)
+    return outs
 
 
 def test_splitmix64_reference_sequence():
@@ -60,12 +117,37 @@ def test_known_answer_streams(seed, expected):
     assert tuple(rng.next_u64() for _ in range(3)) == expected
 
 
-@pytest.mark.parametrize("start,expected", sorted(SEED1_AROUND_REFILLS.items()))
+@pytest.mark.parametrize(
+    "start,expected", sorted({**SEED1_AROUND_REFILLS, **SEED1_AROUND_LANE_EDGES}.items())
+)
 def test_outputs_around_block_refills(start, expected):
     rng = Rng(1)
     for _ in range(start):
         rng.next_u64()
     assert tuple(rng.next_u64() for _ in range(len(expected))) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1])
+def test_stream_equals_one_at_a_time_reference(seed):
+    count = 3 * ROUND + 1  # three full refills and the first output of a fourth
+    rng = Rng(seed)
+    assert [rng.next_u64() for _ in range(count)] == reference_stream(seed, count)
+
+
+def test_characteristic_polynomial_annihilates_the_state():
+    p = _char_poly()
+    assert p.bit_length() - 1 == 256
+    for seed in (0, 1, 42):
+        assert _jump(*reference_state(seed), p, _MASK64) == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 1000, (_LANES - 1) * _LANE_STEPS])
+def test_jump_equals_single_steps(n):
+    state = reference_state(7)
+    stepped = state
+    for _ in range(n):
+        stepped = reference_step(*stepped)
+    assert _jump(*state, _x_pow(n), _MASK64) == stepped
 
 
 def test_mixed_draws_across_a_refill():
