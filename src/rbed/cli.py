@@ -28,11 +28,12 @@ def _load(path: Optional[str]) -> ExperimentConfig:
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
+    overrides = {}
     if args.seeds is not None:
-        config = replace(config, seeds=parse_seed_spec(args.seeds))
+        overrides["seeds"] = parse_seed_spec(args.seeds)
     if args.episodes is not None:
-        config = replace(config, episodes=args.episodes)
-    return config
+        overrides["episodes"] = args.episodes
+    return replace(config, **overrides) if overrides else config
 
 
 def _summarize_arm(arm: ArmReport) -> str:

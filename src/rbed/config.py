@@ -8,6 +8,12 @@ Three walks over ``dataclasses.fields`` parse, validate and serialise every
 config class, so a field added here needs no other code. The walks read
 each ``Field.type``, so this module must not postpone the evaluation of
 annotations (no ``from __future__ import annotations``).
+
+The check runs once, when an ``ExperimentConfig`` is built: parsed,
+constructed directly or made by ``dataclasses.replace``. A nested scheduler
+or agent config is checked as a field of it, so an error names its path
+(``scheduler.decay_rate``). Code that takes a built config never checks it
+again.
 """
 
 import json
@@ -134,6 +140,9 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = _field(tuple(range(1, 21)), ge=0, lt=2**64, from_str=parse_seed_spec)
     environment: str = _field("cartpole", choices=("cartpole", "chain"))
     chain_states: int = _field(5, ge=2, le=MAX_STATES)
+
+    def __post_init__(self) -> None:
+        validate_config(self)
 
 
 _COMPARISONS = {
@@ -272,9 +281,7 @@ def _parse(cls: type, data: Any, where: str) -> Any:
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a parsed JSON object."""
-    config = _parse(ExperimentConfig, data, "")
-    validate_config(config)
-    return config
+    return _parse(ExperimentConfig, data, "")
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:

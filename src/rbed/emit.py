@@ -116,7 +116,6 @@ def render_figures(labeled_curves: Sequence[tuple[str, AggregateCurves]]) -> dic
         x_label="episode",
         y_label="reward",
         series=[_series(label, 1, c.mean_reward) for label, c in labeled_curves],
-        y_min=0.0,
     )
     rolling_series = [
         _series(label, c.window, c.mean_rolling) for label, c in labeled_curves if c.mean_rolling
@@ -128,7 +127,6 @@ def render_figures(labeled_curves: Sequence[tuple[str, AggregateCurves]]) -> dic
         y_label=f"mean reward, last {window} episodes",
         # Too few episodes for a full window: chart just the reference level.
         series=rolling_series or [Series(label="(no full window)", xs=[1.0], ys=[0.0])],
-        y_min=0.0,
         ref_y=SOLVED_THRESHOLD,
         ref_label=f"solved ({SOLVED_THRESHOLD:g})",
     )
@@ -137,7 +135,6 @@ def render_figures(labeled_curves: Sequence[tuple[str, AggregateCurves]]) -> dic
         x_label="episode",
         y_label="epsilon",
         series=[_series(label, 1, c.mean_epsilon) for label, c in labeled_curves],
-        y_min=0.0,
         y_max=1.0,
     )
     return dict(zip(FIGURE_NAMES, (reward, rolling, epsilon)))

@@ -13,12 +13,12 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 from .agent import Discretizer, new_q_table, run_episode
-from .config import ConfigError, ExperimentConfig, validate_config
-from .envs import TabularCartPole, TabularChain
+from .config import ConfigError, ExperimentConfig
+from .envs import MAX_STEPS, TabularCartPole, TabularChain
 from .metrics import AggregateCurves, RunResult, aggregate_runs, mean, solved_at
 from .rng import Rng
 
-REACH_MARK = 200.0  # episode reward regarded as hitting the ceiling
+REACH_MARK = float(MAX_STEPS)  # a capped cart-pole episode: 1.0 per step
 
 
 def build_env(config: ExperimentConfig):
@@ -42,25 +42,25 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> RunResult:
     return RunResult(seed=seed, records=records, solved_at=solved_at(records))
 
 
-def _run_tasks(tasks: Sequence[tuple[ExperimentConfig, int]], jobs: int) -> list[RunResult]:
-    """Run (config, seed) tasks, in one process pool of at most ``jobs``
-    workers and at most one per core. Results follow task order regardless
-    of execution order, so parallel output equals sequential output."""
+def _run_tasks(configs: tuple[ExperimentConfig, ...], jobs: int) -> list[RunResult]:
+    """Run every seed of each config, in one process pool of at most ``jobs``
+    workers and at most one per core. Results follow config then seed order
+    regardless of execution order, so parallel output equals sequential output."""
+    tasks = [(config, seed) for config in configs for seed in config.seeds]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [run_single_seed(config, seed) for config, seed in tasks]
     # imported here: concurrent.futures loads multiprocessing, which serial runs never use
     from concurrent.futures import ProcessPoolExecutor
 
-    configs, seeds = zip(*tasks)
+    task_configs, seeds = zip(*tasks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_single_seed, configs, seeds))
+        return list(pool.map(run_single_seed, task_configs, seeds))
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     """Run every seed; results follow the config's seed order."""
-    validate_config(config)
-    return _run_tasks([(config, seed) for seed in config.seeds], jobs)
+    return _run_tasks((config,), jobs)
 
 
 def first_reaching(records, mark: float = REACH_MARK) -> Optional[int]:
@@ -118,8 +118,6 @@ def compare(
     Only the scheduler and agent may differ; every other field of
     ``ExperimentConfig`` must match so the comparison is like for like.
     """
-    validate_config(config_a)
-    validate_config(config_b)
     differ = [
         f"{f.name} ({reprlib.repr(getattr(config_a, f.name))}"
         f" != {reprlib.repr(getattr(config_b, f.name))})"
@@ -134,8 +132,7 @@ def compare(
     label_a = kind_a if kind_a != kind_b else f"a:{kind_a}"
     label_b = kind_b if kind_a != kind_b else f"b:{kind_b}"
     # one pool over both arms, so no core idles on one arm's slowest seed
-    tasks = [(config, seed) for config in (config_a, config_b) for seed in config_a.seeds]
-    runs = _run_tasks(tasks, jobs)
+    runs = _run_tasks((config_a, config_b), jobs)
     n = len(config_a.seeds)
     arm_a = _arm_report(label_a, config_a, runs[:n])
     arm_b = _arm_report(label_b, config_b, runs[n:])

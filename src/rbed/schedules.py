@@ -44,8 +44,13 @@ class RbedSchedule:
         """Derive the decay step from the solve target.
 
         The step is sized so that epsilon walks from ``epsilon_start`` down to
-        ``epsilon_min`` in exactly ``reward_target`` threshold crossings: by
-        the time the threshold ladder reaches the target, exploration is over.
+        ``epsilon_min`` in ``reward_target`` threshold crossings (rounded up;
+        one more may clear a float-rounding residue): by the time the
+        threshold ladder reaches the target, exploration is over. That holds
+        only when every crossing is reachable, i.e. when ``reward_threshold +
+        (ceil(reward_target) - 1) * reward_increment`` is at most the
+        environment's largest episode return (200 on cart-pole, 1.0 on the
+        chain); otherwise epsilon stalls above ``epsilon_min``.
         """
         return cls(
             epsilon=epsilon_start,

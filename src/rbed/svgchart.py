@@ -17,6 +17,7 @@ MARGIN_LEFT = 68
 MARGIN_RIGHT = 18
 MARGIN_TOP = 44
 MARGIN_BOTTOM = 52
+TICKS = 6  # about this many ticks per axis
 
 PALETTE = ("#c0392b", "#7f8c8d", "#2e86c1", "#27ae60", "#8e44ad", "#d68910")
 
@@ -38,8 +39,8 @@ class Series:
             raise ValueError(f"series {self.label!r}: xs and ys lengths differ")
 
 
-def _nice_step(span: float, target_ticks: int = 6) -> float:
-    raw = span / max(target_ticks, 1)
+def _nice_step(span: float) -> float:
+    raw = span / TICKS
     magnitude = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * magnitude:
@@ -47,10 +48,10 @@ def _nice_step(span: float, target_ticks: int = 6) -> float:
     return 10.0 * magnitude
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    step = _nice_step(hi - lo, target)
+    step = _nice_step(hi - lo)
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
@@ -73,12 +74,11 @@ def line_chart(
     x_label: str,
     y_label: str,
     series: Sequence[Series],
-    y_min: Optional[float] = None,
     y_max: Optional[float] = None,
     ref_y: Optional[float] = None,
     ref_label: str = "",
 ) -> str:
-    """Render series as an SVG document string."""
+    """Render series as an SVG document string, charting y from 0 up."""
     if not series:
         raise ValueError("line_chart needs at least one series")
     if all(len(s.xs) == 0 for s in series):
@@ -86,9 +86,8 @@ def line_chart(
 
     x_lo = min(min(s.xs) for s in series if s.xs)
     x_hi = max(max(s.xs) for s in series if s.xs)
-    y_values = [v for s in series for v in s.ys]
-    y_lo = min(y_values) if y_min is None else y_min
-    y_hi = max(y_values) if y_max is None else y_max
+    y_lo = 0.0
+    y_hi = max(v for s in series for v in s.ys) if y_max is None else y_max
     if ref_y is not None:
         y_lo = min(y_lo, ref_y)
         y_hi = max(y_hi, ref_y)

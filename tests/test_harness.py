@@ -1,5 +1,6 @@
 """Config parsing, experiment orchestration, file emission, and the CLI."""
 
+import argparse
 import concurrent.futures
 import json
 import math
@@ -14,9 +15,10 @@ from xml.sax.saxutils import escape as sax_escape
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rbed.config
 import rbed.emit
 import rbed.runner
-from rbed.cli import main
+from rbed.cli import _apply_overrides, main
 from rbed.config import (
     MAX_STATES,
     AgentConfig,
@@ -276,12 +278,47 @@ def test_config_from_json_and_file(tmp_path):
 
 
 def test_validate_config_direct():
-    config = ExperimentConfig(episodes=0)
-    with pytest.raises(ConfigError):
-        validate_config(config)
+    # building a config runs validate_config, with the same messages
+    with pytest.raises(ConfigError, match="^episodes must be >= 1, got 0$"):
+        ExperimentConfig(episodes=0)
     # parsing makes every JSON list a tuple, so only code can pass a list here
-    with pytest.raises(ConfigError, match="seeds must be a tuple, got \\[1, 2\\]"):
-        validate_config(replace(ExperimentConfig(), seeds=[1, 2]))
+    with pytest.raises(ConfigError, match="^seeds must be a tuple, got \\[1, 2\\]$"):
+        replace(small_config(), seeds=[1, 2])
+    # a nested config is checked as a field of the config that holds it
+    with pytest.raises(ConfigError, match="^scheduler.epsilon_start must be <= 1.0, got 2.0$"):
+        ExperimentConfig(scheduler=RbedConfig(epsilon_start=2.0))
+
+
+@pytest.fixture
+def schema_checks(monkeypatch):
+    """Each config the schema walk checks while the test runs."""
+    checked = []
+    walk = rbed.config._check_fields
+
+    def counting_walk(config, where):
+        if not where:
+            checked.append(config)
+        walk(config, where)
+
+    monkeypatch.setattr(rbed.config, "_check_fields", counting_walk)
+    return checked
+
+
+def test_built_configs_are_not_checked_again(schema_checks):
+    config_a = small_config(episodes=2)
+    config_b = small_config(episodes=2, scheduler={"kind": "exponential"})
+    schema_checks.clear()
+    run_experiment(config_a)
+    compare(config_a, config_b)
+    assert schema_checks == []
+
+
+def test_cli_overrides_are_checked_once(schema_checks):
+    config = small_config()
+    schema_checks.clear()
+    config = _apply_overrides(config, argparse.Namespace(seeds="1..3", episodes=2))
+    assert schema_checks == [config]
+    assert (config.seeds, config.episodes) == ((1, 2, 3), 2)
 
 
 # -- runner ------------------------------------------------------------------
@@ -396,6 +433,7 @@ def test_pool_size_is_capped_at_cores_and_tasks(monkeypatch, cores, jobs, worker
 
 
 def test_run_experiment_validates():
+    # the config now raises as it is built, before run_experiment is called
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig(episodes=0))
 
