@@ -11,9 +11,24 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import cos, sin
 from typing import Sequence
 
 from .config import AgentConfig
+from .envs import (
+    FORCE_MAG,
+    GRAVITY,
+    MASS_POLE,
+    MAX_STEPS,
+    POLE_HALF_LENGTH,
+    POLEMASS_LENGTH,
+    TAU,
+    THETA_THRESHOLD,
+    TOTAL_MASS,
+    X_THRESHOLD,
+    TabularCartPole,
+    cartpole_reset,
+)
 from .metrics import EpisodeRecord
 from .rng import _INV_2_53, Rng
 
@@ -105,6 +120,9 @@ class Discretizer:
         return math.prod(self.buckets)
 
     def index(self, state: Sequence[float]) -> int:
+        """The flat index of ``state``. ``run_episode``'s cart-pole loop sums
+        the same counts over ``_live`` on its own locals for every step; it
+        calls this only for the reset state."""
         idx = 0
         for i, edges, stride in self._live:
             idx += bisect_right(edges, state[i]) * stride
@@ -180,14 +198,19 @@ def run_episode(
     as value-terminal: the update bootstraps through them so step caps do
     not poison the values of healthy states.
 
-    Action selection and the backup are written inline for speed; each step
-    draws exactly what ``select_action`` draws and updates exactly as
-    ``q_update`` does, and the tests hold this loop to that composition.
-    Every environment here has two actions, so a uniform action is the low
-    bit of one draw, which equals ``Rng.next_int_below(2)``.
+    A ``TabularCartPole`` episode runs in ``_cartpole_episode``, the hot
+    path, which never calls the environment. Any other environment goes
+    through its ``reset`` and ``step`` in the loop below. Both loops write
+    action selection and the backup inline; each step draws exactly what
+    ``select_action`` draws and updates exactly as ``q_update`` does, and
+    the tests hold both loops to that composition. Every environment here
+    has two actions, so a uniform action is the low bit of one draw, which
+    equals ``Rng.next_int_below(2)``.
     """
     if env.n_actions != 2:
         raise ValueError(f"run_episode needs 2 actions, got {env.n_actions}")
+    if isinstance(env, TabularCartPole):
+        return _cartpole_episode(env.discretizer, q, epsilon, params, rng, episode)
     u64 = rng.next_u64
     step = env.step
     alpha = params.alpha
@@ -216,3 +239,80 @@ def run_episode(
         steps += 1
         s = s_next
     return EpisodeRecord(episode=episode, total_reward=total, epsilon=epsilon, steps=steps)
+
+
+def _cartpole_episode(
+    discretizer: Discretizer,
+    q: QTable,
+    epsilon: float,
+    params: AgentConfig,
+    rng: Rng,
+    episode: int,
+) -> EpisodeRecord:
+    """``run_episode`` on a ``TabularCartPole``: the hot path, one frame per
+    episode with the state in locals.
+
+    After ``cartpole_reset`` and ``Discretizer.index`` on the first state,
+    each step does what ``select_action``, ``cartpole_step``,
+    ``Discretizer.index`` and ``q_update`` do, in the same order, on the
+    same draws and with the same float operations: the accelerations are
+    grouped as in ``envs.accelerations``; leaving the bounds is tested
+    before the cap, so a fall on the last step is value-terminal; the grid
+    index counts each live component's edges at or below it, as ``index``
+    does over ``_live``. Every step pays reward 1.0, so the episode's reward
+    is its step count.
+    """
+    u64 = rng.next_u64
+    alpha = params.alpha
+    gamma = params.gamma
+    edges: list[tuple[float, ...]] = [()] * 4  # () for a dimension with one bucket
+    strides = [0] * 4
+    for i, dim_edges, stride in discretizer._live:
+        edges[i], strides[i] = dim_edges, stride
+    e0, e1, e2, e3 = edges
+    k0, k1, k2, k3 = strides
+    state = cartpole_reset(rng)
+    row = q[discretizer.index(state)]
+    x, x_dot, theta, theta_dot, steps = state
+    while True:
+        if (u64() >> 11) * _INV_2_53 < epsilon:
+            a = u64() & 1
+        elif row[1] > row[0]:
+            a = 1
+        elif row[1] == row[0]:
+            a = u64() & 1
+        else:
+            a = 0
+        force = FORCE_MAG if a else -FORCE_MAG
+        cos_t = cos(theta)
+        sin_t = sin(theta)
+        temp = (force + POLEMASS_LENGTH * theta_dot * theta_dot * sin_t) / TOTAL_MASS
+        theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
+            POLE_HALF_LENGTH * (4.0 / 3.0 - MASS_POLE * cos_t * cos_t / TOTAL_MASS)
+        )
+        x_acc = temp - POLEMASS_LENGTH * theta_acc * cos_t / TOTAL_MASS
+        x += TAU * x_dot
+        x_dot += TAU * x_acc
+        theta += TAU * theta_dot
+        theta_dot += TAU * theta_acc
+        steps += 1
+        if x > X_THRESHOLD or x < -X_THRESHOLD or theta > THETA_THRESHOLD or theta < -THETA_THRESHOLD:
+            row[a] += alpha * (1.0 - row[a])  # fell or left the track: no bootstrap
+            break
+        s = 0
+        if e0:
+            s += bisect_right(e0, x) * k0
+        if e1:
+            s += bisect_right(e1, x_dot) * k1
+        if e2:
+            s += bisect_right(e2, theta) * k2
+        if e3:
+            s += bisect_right(e3, theta_dot) * k3
+        nxt = q[s]
+        n0 = nxt[0]
+        n1 = nxt[1]
+        row[a] += alpha * (1.0 + gamma * (n1 if n1 > n0 else n0) - row[a])
+        if steps >= MAX_STEPS:  # the cap: bootstraps through
+            break
+        row = nxt
+    return EpisodeRecord(episode=episode, total_reward=float(steps), epsilon=epsilon, steps=steps)

@@ -27,12 +27,18 @@ def _load(path: Optional[str]) -> ExperimentConfig:
     return load_config(path)
 
 
-def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
+def _overrides(args: argparse.Namespace) -> dict:
+    """The config fields that ``--seeds`` and ``--episodes`` set. Parsed once
+    per command, so both arms of a compare share one seed tuple."""
     overrides = {}
     if args.seeds is not None:
         overrides["seeds"] = parse_seed_spec(args.seeds)
     if args.episodes is not None:
         overrides["episodes"] = args.episodes
+    return overrides
+
+
+def _apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
     return replace(config, **overrides) if overrides else config
 
 
@@ -46,7 +52,7 @@ def _summarize_arm(arm: ArmReport) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _apply_overrides(_load(args.config), args)
+    config = _apply_overrides(_load(args.config), _overrides(args))
     results = run_experiment(config, jobs=args.jobs)
     written = emit_results(results, args.out)
     print(f"ran {len(results)} seed(s) x {config.episodes} episodes ({config.scheduler.kind})")
@@ -55,8 +61,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config_a = _apply_overrides(_load(args.config_a), args)
-    config_b = _apply_overrides(_load(args.config_b), args)
+    overrides = _overrides(args)
+    config_a = _apply_overrides(_load(args.config_a), overrides)
+    config_b = _apply_overrides(_load(args.config_b), overrides)
     report = compare(config_a, config_b, jobs=args.jobs)
     emit_compare(report, args.out)
     print(_summarize_arm(report.a))

@@ -130,6 +130,11 @@ def chain_step(position: int, action: int, n_states: int) -> tuple[int, float, b
 class TabularCartPole:
     """Cart-pole exposed through a discretizer as integer observations.
 
+    ``rbed.agent.run_episode`` runs a cart-pole episode in one fused loop
+    that reads only ``discretizer``; it never calls ``reset`` or ``step``.
+    Those two are reference code: ``cartpole_reset`` and ``cartpole_step``
+    behind the discretizer.
+
     After each ``step`` the ``truncated`` attribute says whether the episode
     ended only because of the step cap while the pole was still balanced.
     Such endings are not value-terminal: the state is as good as any other
@@ -142,8 +147,7 @@ class TabularCartPole:
         self.n_states: int = discretizer.n_states
         self.n_actions: int = N_ACTIONS
         self.truncated: bool = False
-        # (x, x_dot, theta, theta_dot, steps_elapsed)
-        self._state: tuple[float, float, float, float, int] | None = None
+        self._state: CartPoleState | None = None
         self._done = True  # no episode in progress: before reset, or after it ended
 
     def reset(self, rng) -> int:
@@ -153,30 +157,17 @@ class TabularCartPole:
         return self.discretizer.index(self._state)
 
     def step(self, action: int) -> tuple[int, float, bool]:
-        """``cartpole_step`` on plain floats, then the discretizer.
-
-        The tests hold it to ``cartpole_step`` (the same Euler lines, the
-        same ``accelerations`` and ``out_of_bounds``), state for state. The
-        entry guard reads the done flag this method set on the previous step
-        rather than testing the state again.
-        """
+        """``cartpole_step``, then the discretizer. The entry guard reads the
+        done flag this method set on the previous step."""
         if self._done:
             raise TerminalStepError(
                 "step before reset" if self._state is None else "step called on a terminal state"
             )
-        x, x_dot, theta, theta_dot, steps = self._state
-        x_acc, theta_acc = accelerations(theta, theta_dot, FORCE_MAG if action == RIGHT else -FORCE_MAG)
-        x += TAU * x_dot
-        x_dot += TAU * x_acc
-        theta += TAU * theta_dot
-        theta_dot += TAU * theta_acc
-        steps += 1
-        failed = out_of_bounds(x, theta)
-        capped = steps >= MAX_STEPS
-        done = self._done = failed or capped
-        self.truncated = capped and not failed
-        state = self._state = (x, x_dot, theta, theta_dot, steps)
-        return self.discretizer.index(state), 1.0, done
+        out = cartpole_step(self._state, action)
+        self._state = out.state
+        self._done = out.done
+        self.truncated = out.truncated
+        return self.discretizer.index(out.state), out.reward, out.done
 
 
 class TabularChain:

@@ -379,7 +379,9 @@ def test_rollout_deterministic_for_seed():
 )
 def test_rollout_matches_hand_rolled_loop(buckets, clips, epsilon):
     # independent re-implementation of the rollout against the same rng
-    # stream: records and tables must agree exactly
+    # stream: records and tables must agree exactly. On a TabularCartPole
+    # run_episode runs its fused loop, so this holds that loop to the
+    # reference functions.
     from rbed.envs import MAX_STEPS, X_THRESHOLD, cartpole_reset, cartpole_step
 
     d = Discretizer(buckets, clips)
@@ -394,6 +396,7 @@ def test_rollout_matches_hand_rolled_loop(buckets, clips, epsilon):
     q2 = new_q_table(d.n_states, 2)
     rng2 = Rng(42)
     want = []
+    endings = dict.fromkeys(("fell", "off_track", "cap"), 0)
     for ep in range(episodes):
         state = cartpole_reset(rng2)
         s = d.index(state)
@@ -414,12 +417,16 @@ def test_rollout_matches_hand_rolled_loop(buckets, clips, epsilon):
             steps += 1
             s = s_next
         want.append((ep, total, steps))
+        endings[
+            "cap" if truncated else "off_track" if abs(state.x) > X_THRESHOLD else "fell"
+        ] += 1
     assert [(r.episode, r.total_reward, r.steps) for r in got] == want
     assert q == q2
     assert rng.next_u64() == rng2.next_u64()  # both consumed the same draws
     if (buckets, epsilon) == ((1, 1, 7, 9), 0.1):
-        # the bootstrap-through-truncation branch must be exercised
-        assert sum(steps == MAX_STEPS for _, _, steps in want) >= 1
+        # each ending of the loop is exercised: the two value-terminal ones
+        # and the cap, which bootstraps through
+        assert min(endings.values()) >= 1, endings
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])

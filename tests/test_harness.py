@@ -15,10 +15,11 @@ from xml.sax.saxutils import escape as sax_escape
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rbed.cli
 import rbed.config
 import rbed.emit
 import rbed.runner
-from rbed.cli import _apply_overrides, main
+from rbed.cli import _apply_overrides, _overrides, main
 from rbed.config import (
     MAX_STATES,
     AgentConfig,
@@ -316,7 +317,7 @@ def test_built_configs_are_not_checked_again(schema_checks):
 def test_cli_overrides_are_checked_once(schema_checks):
     config = small_config()
     schema_checks.clear()
-    config = _apply_overrides(config, argparse.Namespace(seeds="1..3", episodes=2))
+    config = _apply_overrides(config, _overrides(argparse.Namespace(seeds="1..3", episodes=2)))
     assert schema_checks == [config]
     assert (config.seeds, config.episodes) == ((1, 2, 3), 2)
 
@@ -830,6 +831,24 @@ def test_cli_compare_and_plot(tmp_path, capsys):
     assert main(["plot", "--in", str(out), "--out", str(figs)]) == 0
     for name in FIGURE_NAMES:
         assert (figs / name).is_file()
+
+
+def test_cli_compare_parses_seeds_once(tmp_path, capsys, monkeypatch):
+    parsed = []
+
+    def counting(spec):
+        parsed.append(spec)
+        return parse_seed_spec(spec)
+
+    monkeypatch.setattr(rbed.cli, "parse_seed_spec", counting)
+    a = write_config(tmp_path, "a.json", SMALL)
+    b = write_config(tmp_path, "b.json", {**SMALL, "scheduler": {"kind": "exponential"}})
+    out = tmp_path / "cmp"
+    cmd = ["compare", "--config-a", a, "--config-b", b, "--out", str(out), "--seeds", "4,6"]
+    assert main([*cmd, "--episodes", "2", "--jobs", "1"]) == 0
+    assert parsed == ["4,6"]
+    for arm in ("a", "b"):
+        assert sorted(p.name for p in (out / arm).glob("run_*.csv")) == ["run_4.csv", "run_6.csv"]
 
 
 def test_cli_compare_rejects_protocol_mismatch(tmp_path, capsys):
