@@ -139,8 +139,8 @@ def select_action(q: QTable, s: int, epsilon: float, rng: Rng) -> int:
 
     One uniform draw decides explore vs exploit; exploring picks an action
     uniformly, exploiting takes the argmax with ties broken uniformly at
-    random (a further draw happens only on an actual tie). ``run_episode``
-    inlines this; it stays as the reference the tests hold the loop to.
+    random (a further draw happens only on an actual tie).
+    ``_cartpole_episode`` inlines this; ``reference_episode`` calls it.
     """
     row = q[s]
     n = len(row)
@@ -171,8 +171,8 @@ def q_update(
 ) -> None:
     """One temporal-difference backup, in place, with the run's ``alpha`` and
     ``gamma`` from ``params``. Terminal transitions do not bootstrap from the
-    successor. ``run_episode`` inlines this; it stays as the reference the
-    tests hold the loop to."""
+    successor. ``_cartpole_episode`` inlines this; ``reference_episode``
+    calls it."""
     if done:
         target = reward
     else:
@@ -192,49 +192,42 @@ def run_episode(
     """One rollout from reset to termination with epsilon held fixed, learning
     with the ``alpha`` and ``gamma`` of ``params``, the run's ``AgentConfig``.
 
+    A ``TabularCartPole`` episode runs in ``_cartpole_episode``, the hot
+    path, which never calls the environment; the tests hold it equal to
+    ``reference_episode``. Any other environment runs in
+    ``reference_episode``.
+    """
+    if isinstance(env, TabularCartPole):
+        return _cartpole_episode(env.discretizer, q, epsilon, params, rng, episode)
+    return reference_episode(env, q, epsilon, params, rng, episode)
+
+
+def reference_episode(
+    env,
+    q: QTable,
+    epsilon: float,
+    params: AgentConfig,
+    rng: Rng,
+    episode: int = 0,
+) -> EpisodeRecord:
+    """The episode loop as the paper states it: from ``env.reset``, each step
+    is ``select_action``, ``env.step`` and ``q_update``, until ``env.step``
+    says done.
+
     Q is updated in place after every step. Schedules advance between
     episodes, never inside one. Endings the environment flags in its
     ``truncated`` attribute (time ran out, state still fine) are not treated
     as value-terminal: the update bootstraps through them so step caps do
     not poison the values of healthy states.
-
-    A ``TabularCartPole`` episode runs in ``_cartpole_episode``, the hot
-    path, which never calls the environment. Any other environment goes
-    through its ``reset`` and ``step`` in the loop below. Both loops write
-    action selection and the backup inline; each step draws exactly what
-    ``select_action`` draws and updates exactly as ``q_update`` does, and
-    the tests hold both loops to that composition. Every environment here
-    has two actions, so a uniform action is the low bit of one draw, which
-    equals ``Rng.next_int_below(2)``.
     """
-    if env.n_actions != 2:
-        raise ValueError(f"run_episode needs 2 actions, got {env.n_actions}")
-    if isinstance(env, TabularCartPole):
-        return _cartpole_episode(env.discretizer, q, epsilon, params, rng, episode)
-    u64 = rng.next_u64
-    step = env.step
-    alpha = params.alpha
-    gamma = params.gamma
     s = env.reset(rng)
     total = 0.0
     steps = 0
     done = False
     while not done:
-        row = q[s]
-        if (u64() >> 11) * _INV_2_53 < epsilon:
-            a = u64() & 1
-        elif row[1] > row[0]:
-            a = 1
-        elif row[1] == row[0]:
-            a = u64() & 1
-        else:
-            a = 0
-        s_next, reward, done = step(a)
-        if done and not env.truncated:
-            target = reward
-        else:
-            target = reward + gamma * max(q[s_next])
-        row[a] += alpha * (target - row[a])
+        a = select_action(q, s, epsilon, rng)
+        s_next, reward, done = env.step(a)
+        q_update(q, s, a, reward, s_next, done and not env.truncated, params)
         total += reward
         steps += 1
         s = s_next
@@ -259,8 +252,9 @@ def _cartpole_episode(
     grouped as in ``envs.accelerations``; leaving the bounds is tested
     before the cap, so a fall on the last step is value-terminal; the grid
     index counts each live component's edges at or below it, as ``index``
-    does over ``_live``. Every step pays reward 1.0, so the episode's reward
-    is its step count.
+    does over ``_live``. A cart-pole has two actions, so a uniform action is
+    the low bit of one draw, which equals ``Rng.next_int_below(2)``. Every
+    step pays reward 1.0, so the episode's reward is its step count.
     """
     u64 = rng.next_u64
     alpha = params.alpha

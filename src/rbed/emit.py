@@ -214,7 +214,7 @@ def figures_from_dir(in_dir: str | Path, out_dir: str | Path) -> list[Path]:
             for arm, name in zip(arms, ("a", "b"))
         ]
     elif (src / "aggregate.csv").is_file():
-        labeled = [(src.name, read_aggregate_csv(src / "aggregate.csv"))]
+        labeled = [(src.resolve().name, read_aggregate_csv(src / "aggregate.csv"))]
     else:
         raise ValueError(f"{src} contains neither report.json nor aggregate.csv")
     return _write_files(out_dir, render_figures(labeled).items())

@@ -108,11 +108,6 @@ def cartpole_step(state: CartPoleState, action: int) -> StepOutcome:
     )
 
 
-def chain_reset() -> int:
-    """Start position of the chain walk (always 0; no randomness)."""
-    return 0
-
-
 def chain_step(position: int, action: int, n_states: int) -> tuple[int, float, bool]:
     """Deterministic walk: RIGHT moves toward the terminal cell at
     ``n_states - 1``, LEFT moves back (clamped at 0). Entering the terminal
@@ -132,8 +127,8 @@ class TabularCartPole:
 
     ``rbed.agent.run_episode`` runs a cart-pole episode in one fused loop
     that reads only ``discretizer``; it never calls ``reset`` or ``step``.
-    Those two are reference code: ``cartpole_reset`` and ``cartpole_step``
-    behind the discretizer.
+    ``rbed.agent.reference_episode`` runs those two, which are
+    ``cartpole_reset`` and ``cartpole_step`` behind the discretizer.
 
     After each ``step`` the ``truncated`` attribute says whether the episode
     ended only because of the step cap while the pole was still balanced.
@@ -148,24 +143,19 @@ class TabularCartPole:
         self.n_actions: int = N_ACTIONS
         self.truncated: bool = False
         self._state: CartPoleState | None = None
-        self._done = True  # no episode in progress: before reset, or after it ended
 
     def reset(self, rng) -> int:
         self._state = cartpole_reset(rng)
         self.truncated = False
-        self._done = False
         return self.discretizer.index(self._state)
 
     def step(self, action: int) -> tuple[int, float, bool]:
-        """``cartpole_step``, then the discretizer. The entry guard reads the
-        done flag this method set on the previous step."""
-        if self._done:
-            raise TerminalStepError(
-                "step before reset" if self._state is None else "step called on a terminal state"
-            )
+        """``cartpole_step``, then the discretizer. ``cartpole_step`` rejects a
+        step from a state that has already ended."""
+        if self._state is None:
+            raise TerminalStepError("step before reset")
         out = cartpole_step(self._state, action)
         self._state = out.state
-        self._done = out.done
         self.truncated = out.truncated
         return self.discretizer.index(out.state), out.reward, out.done
 
@@ -184,8 +174,9 @@ class TabularChain:
         self._position: int | None = None
 
     def reset(self, rng) -> int:
-        self._position = chain_reset()
-        return self._position
+        """The walk always starts at 0; ``rng`` is not drawn from."""
+        self._position = 0
+        return 0
 
     def step(self, action: int) -> tuple[int, float, bool]:
         if self._position is None:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .agent import Discretizer, new_q_table, run_episode
 from .config import ConfigError, ExperimentConfig
 from .envs import MAX_STEPS, TabularCartPole, TabularChain
-from .metrics import AggregateCurves, RunResult, aggregate_runs, mean, solved_at
+from .metrics import AggregateCurves, RunResult, aggregate_runs, mean, solve_count, solved_at
 from .rng import Rng
 
 REACH_MARK = float(MAX_STEPS)  # a capped cart-pole episode: 1.0 per step
@@ -102,7 +102,7 @@ def _arm_report(label: str, config: ExperimentConfig, runs: Sequence[RunResult])
         config=config,
         runs=tuple(runs),
         solve_budget=config.episodes,
-        solve_count=len(solved),
+        solve_count=solve_count(runs),
         mean_solve_episode=mean(solved),
         first_200=first_200,
         mean_first_200=mean(reached),

@@ -11,11 +11,12 @@ from rbed.agent import (
     _edges,
     new_q_table,
     q_update,
+    reference_episode,
     run_episode,
     select_action,
 )
 from rbed.config import DEFAULT_CLIPS, MAX_CLIP, AgentConfig
-from rbed.envs import LEFT, RIGHT, THETA_THRESHOLD, TabularCartPole, TabularChain
+from rbed.envs import LEFT, RIGHT, THETA_THRESHOLD, X_THRESHOLD, TabularCartPole, TabularChain
 from rbed.rng import Rng
 
 GRID = Discretizer((3, 3, 6, 6), (2.4, 3.0, THETA_THRESHOLD, 2.0))
@@ -378,92 +379,29 @@ def test_rollout_deterministic_for_seed():
     ids=["1x1x7x9", "1x1x6x8", "3x3x6x6"],
 )
 def test_rollout_matches_hand_rolled_loop(buckets, clips, epsilon):
-    # independent re-implementation of the rollout against the same rng
-    # stream: records and tables must agree exactly. On a TabularCartPole
-    # run_episode runs its fused loop, so this holds that loop to the
-    # reference functions.
-    from rbed.envs import MAX_STEPS, X_THRESHOLD, cartpole_reset, cartpole_step
-
+    # the fused cart-pole loop against reference_episode, which runs
+    # select_action, TabularCartPole.step and q_update, on the same rng
+    # stream: records and tables must agree exactly
     d = Discretizer(buckets, clips)
     params = AgentConfig(alpha=0.3, gamma=1.0)
-    episodes = 200
-
     env = TabularCartPole(d)
     q = new_q_table(env.n_states, env.n_actions)
+    q2 = new_q_table(env.n_states, env.n_actions)
     rng = Rng(42)
-    got = [run_episode(env, q, epsilon, params, rng, episode=ep) for ep in range(episodes)]
-
-    q2 = new_q_table(d.n_states, 2)
     rng2 = Rng(42)
-    want = []
     endings = dict.fromkeys(("fell", "off_track", "cap"), 0)
-    for ep in range(episodes):
-        state = cartpole_reset(rng2)
-        s = d.index(state)
-        total, steps, done = 0.0, 0, False
-        while not done:
-            a = select_action(q2, s, epsilon, rng2)
-            out = cartpole_step(state, a)
-            state, done = out.state, out.done
-            s_next = d.index(state)
-            truncated = (
-                done
-                and state.steps_elapsed >= MAX_STEPS
-                and abs(state.x) <= X_THRESHOLD
-                and abs(state.theta) <= THETA_THRESHOLD
-            )
-            q_update(q2, s, a, out.reward, s_next, done and not truncated, params)
-            total += out.reward
-            steps += 1
-            s = s_next
-        want.append((ep, total, steps))
+    for ep in range(200):
+        got = run_episode(env, q, epsilon, params, rng, episode=ep)
+        assert got == reference_episode(env, q2, epsilon, params, rng2, episode=ep)
         endings[
-            "cap" if truncated else "off_track" if abs(state.x) > X_THRESHOLD else "fell"
+            "cap" if env.truncated else "off_track" if abs(env._state.x) > X_THRESHOLD else "fell"
         ] += 1
-    assert [(r.episode, r.total_reward, r.steps) for r in got] == want
     assert q == q2
     assert rng.next_u64() == rng2.next_u64()  # both consumed the same draws
     if (buckets, epsilon) == ((1, 1, 7, 9), 0.1):
         # each ending of the loop is exercised: the two value-terminal ones
         # and the cap, which bootstraps through
         assert min(endings.values()) >= 1, endings
-
-
-@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
-def test_chain_rollout_matches_hand_rolled_loop(epsilon):
-    from rbed.envs import chain_reset, chain_step
-
-    params = AgentConfig(alpha=0.1, gamma=0.9)
-    env = TabularChain(6)
-    q = new_q_table(env.n_states, env.n_actions)
-    rng = Rng(7)
-    got = [run_episode(env, q, epsilon, params, rng, episode=ep) for ep in range(100)]
-
-    q2 = new_q_table(6, 2)
-    rng2 = Rng(7)
-    want = []
-    for ep in range(100):
-        s = chain_reset()
-        total, steps, done = 0.0, 0, False
-        while not done:
-            a = select_action(q2, s, epsilon, rng2)
-            s_next, reward, done = chain_step(s, a, 6)
-            q_update(q2, s, a, reward, s_next, done, params)
-            total += reward
-            steps += 1
-            s = s_next
-        want.append((ep, total, steps))
-    assert [(r.episode, r.total_reward, r.steps) for r in got] == want
-    assert q == q2
-    assert rng.next_u64() == rng2.next_u64()
-
-
-def test_rollout_rejects_other_action_counts():
-    class ThreeActions(_CappedStub):
-        n_actions = 3
-
-    with pytest.raises(ValueError):
-        run_episode(ThreeActions(), [[0.0] * 3] * 2, 0.0, AgentConfig(), Rng(1))
 
 
 class _CappedStub:

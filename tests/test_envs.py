@@ -18,7 +18,6 @@ from rbed.envs import (
     accelerations,
     cartpole_reset,
     cartpole_step,
-    chain_reset,
     chain_step,
 )
 from rbed.agent import Discretizer
@@ -189,11 +188,6 @@ def test_step_outputs_finite(x, x_dot, theta, theta_dot, action):
 # -- chain MDP -------------------------------------------------------------
 
 
-def test_chain_reset():
-    assert chain_reset() == 0
-    assert chain_reset() == 0
-
-
 def test_chain_step_right_to_goal():
     assert chain_step(3, RIGHT, n_states=5) == (4, 1.0, True)
 
@@ -234,9 +228,24 @@ def test_chain_closed_form_value_iteration():
 
 
 def test_tabular_chain_adapter():
+    # a whole episode: the clamp at the left wall, the goal, then a fresh start
     env = TabularChain(5)
     assert env.n_states == 5 and env.n_actions == 2
-    s = env.reset(Rng(1))
-    assert s == 0
-    s, r, done = env.step(RIGHT)
-    assert (s, r, done) == (1, 0.0, False)
+    for _ in range(2):
+        assert env.reset(Rng(1)) == 0
+        assert env.step(LEFT) == (0, 0.0, False)
+        assert env.step(RIGHT) == (1, 0.0, False)
+        assert env.step(LEFT) == (0, 0.0, False)
+        for s in (1, 2, 3):
+            assert env.step(RIGHT) == (s, 0.0, False)
+        assert env.step(RIGHT) == (4, 1.0, True)
+        assert env.truncated is False
+        with pytest.raises(TerminalStepError):
+            env.step(RIGHT)
+
+
+def test_step_before_reset_rejected():
+    d = Discretizer((1, 1, 6, 8), (2.4, 3.0, THETA_THRESHOLD, 2.0))
+    for env in (TabularCartPole(d), TabularChain(5)):
+        with pytest.raises(TerminalStepError, match="^step before reset$"):
+            env.step(RIGHT)

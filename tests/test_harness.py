@@ -833,6 +833,19 @@ def test_cli_compare_and_plot(tmp_path, capsys):
         assert (figs / name).is_file()
 
 
+def test_cli_plot_in_cwd_labels_series_with_directory_name(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path, "c.json", SMALL)
+    run_dir = tmp_path / "myrun"
+    assert main(["run", "--config", config, "--out", str(run_dir), "--jobs", "1"]) == 0
+    assert main(["plot", "--in", str(run_dir), "--out", str(tmp_path / "want")]) == 0
+    monkeypatch.chdir(run_dir)
+    assert main(["plot", "--in", ".", "--out", "figs"]) == 0
+    svgs = [(run_dir / "figs" / name).read_text() for name in FIGURE_NAMES]
+    assert svgs == [(tmp_path / "want" / name).read_text() for name in FIGURE_NAMES]
+    assert any(">myrun</text>" in svg for svg in svgs)
+    assert not any("></text>" in svg for svg in svgs)
+
+
 def test_cli_compare_parses_seeds_once(tmp_path, capsys, monkeypatch):
     parsed = []
 
