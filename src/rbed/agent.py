@@ -30,7 +30,7 @@ from .envs import (
     cartpole_reset,
 )
 from .metrics import EpisodeRecord
-from .rng import _INV_2_53, Rng
+from .rng import Rng
 
 QTable = list  # list[list[float]], shape (n_states, n_actions)
 
@@ -234,6 +234,22 @@ def reference_episode(
     return EpisodeRecord(episode=episode, total_reward=total, epsilon=epsilon, steps=steps)
 
 
+def _explore_below(epsilon: float) -> int:
+    """The bound with ``u < bound`` exactly when ``(u >> 11) * 2**-53 <
+    epsilon``, for every 64-bit ``u`` and every double ``epsilon``.
+
+    ``m = u >> 11`` is an integer below 2**53, so ``m * 2**-53`` is exact and
+    the test is ``m < epsilon * 2**53`` over the reals; the product is exact
+    too, as scaling by a power of two is. An integer is below a real exactly
+    when it is below the real's ceiling, and ``m < c`` exactly when
+    ``u < c << 11``. The bound is 0 when nothing explores (epsilon at most 0,
+    or NaN) and 2**64 when everything does (epsilon at least 1).
+    """
+    if not epsilon > 0.0:
+        return 0
+    return math.ceil(min(epsilon, 1.0) * (1 << 53)) << 11
+
+
 def _cartpole_episode(
     discretizer: Discretizer,
     q: QTable,
@@ -255,8 +271,17 @@ def _cartpole_episode(
     does over ``_live``. A cart-pole has two actions, so a uniform action is
     the low bit of one draw, which equals ``Rng.next_int_below(2)``. Every
     step pays reward 1.0, so the episode's reward is its step count.
+
+    Draws pop the generator's output list, ``rng._block``, bound once per
+    episode: the list is one object that holds the next output last and is
+    refilled in place only when empty, so popping it, and calling
+    ``rng._refill`` when it is empty, gives the draws ``next_u64`` would.
+    The explore test compares the raw draw with ``_explore_below(epsilon)``,
+    which is exactly ``next_f64() < epsilon`` on the same draw.
     """
-    u64 = rng.next_u64
+    block = rng._block
+    pop = block.pop
+    explore_below = _explore_below(epsilon)
     alpha = params.alpha
     gamma = params.gamma
     edges: list[tuple[float, ...]] = [()] * 4  # () for a dimension with one bucket
@@ -269,12 +294,18 @@ def _cartpole_episode(
     row = q[discretizer.index(state)]
     x, x_dot, theta, theta_dot, steps = state
     while True:
-        if (u64() >> 11) * _INV_2_53 < epsilon:
-            a = u64() & 1
+        if not block:
+            rng._refill()
+        if pop() < explore_below:
+            if not block:
+                rng._refill()
+            a = pop() & 1
         elif row[1] > row[0]:
             a = 1
         elif row[1] == row[0]:
-            a = u64() & 1
+            if not block:
+                rng._refill()
+            a = pop() & 1
         else:
             a = 0
         force = FORCE_MAG if a else -FORCE_MAG

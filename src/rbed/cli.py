@@ -10,11 +10,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .config import (
+    MAX_RETURN,
     ConfigError,
     ExperimentConfig,
     config_from_dict,
     load_config,
     parse_seed_spec,
+    stalled_epsilon,
 )
 from .emit import emit_compare, emit_results, figures_from_dir
 from .metrics import solve_count
@@ -42,6 +44,19 @@ def _apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentCon
     return replace(config, **overrides) if overrides else config
 
 
+def _warn_if_stalled(name: str, config: ExperimentConfig) -> None:
+    """One stderr line if ``name``'s RBED ladder stops above its floor."""
+    epsilon = stalled_epsilon(config)
+    if epsilon is not None:
+        print(
+            f"warning: {name}: epsilon stalls at {epsilon:.4g}, above epsilon_min"
+            f" {config.scheduler.epsilon_min:g}: the RBED threshold ladder passes"
+            f" {MAX_RETURN[config.environment]:g}, the largest episode return on"
+            f" {config.environment}",
+            file=sys.stderr,
+        )
+
+
 def _summarize_arm(arm: ArmReport) -> str:
     mean_solve = f"{arm.mean_solve_episode:.1f}" if arm.mean_solve_episode is not None else "-"
     mean_200 = f"{arm.mean_first_200:.1f}" if arm.mean_first_200 is not None else "-"
@@ -53,6 +68,7 @@ def _summarize_arm(arm: ArmReport) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _apply_overrides(_load(args.config), _overrides(args))
+    _warn_if_stalled(args.config or "the default config", config)
     results = run_experiment(config, jobs=args.jobs)
     written = emit_results(results, args.out)
     print(f"ran {len(results)} seed(s) x {config.episodes} episodes ({config.scheduler.kind})")
@@ -64,6 +80,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     overrides = _overrides(args)
     config_a = _apply_overrides(_load(args.config_a), overrides)
     config_b = _apply_overrides(_load(args.config_b), overrides)
+    _warn_if_stalled(f"arm a ({args.config_a})", config_a)
+    _warn_if_stalled(f"arm b ({args.config_b})", config_b)
     report = compare(config_a, config_b, jobs=args.jobs)
     emit_compare(report, args.out)
     print(_summarize_arm(report.a))

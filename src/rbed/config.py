@@ -21,9 +21,9 @@ import math
 import operator
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, ClassVar, Union, get_args, get_origin
+from typing import Any, ClassVar, Optional, Union, get_args, get_origin
 
-from .envs import THETA_THRESHOLD
+from .envs import MAX_STEPS, THETA_THRESHOLD
 from .schedules import ConstantSchedule, ExponentialSchedule, RbedSchedule
 
 
@@ -42,6 +42,10 @@ MAX_CLIP = 1e6  # keeps the discretizer's 2 * clip * buckets finite
 # tuned choices rather than physical constants.
 DEFAULT_BUCKETS = (1, 1, 7, 9)
 DEFAULT_CLIPS = (2.4, 3.0, THETA_THRESHOLD, 1.7)
+
+# The largest episode return of each environment: a cart-pole step pays 1.0
+# up to the step cap, and a chain episode pays 1.0 once, at the goal.
+MAX_RETURN = {"cartpole": float(MAX_STEPS), "chain": 1.0}
 
 
 def parse_seed_spec(spec: str) -> tuple[int, ...]:
@@ -307,6 +311,30 @@ def load_config(path: str | Path) -> ExperimentConfig:
         return config_from_json(Path(path).read_text(encoding="utf-8"))
     except (ConfigError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def stalled_epsilon(config: ExperimentConfig) -> Optional[float]:
+    """The epsilon where an RBED schedule stops, if it stops above
+    ``epsilon_min``; None if it reaches the floor or is not RBED.
+
+    The walk to the floor takes ``ceil(reward_target)`` threshold crossings,
+    and crossing n needs an episode that pays ``reward_threshold_init + n *
+    reward_increment``, which no episode does past the environment's
+    ``MAX_RETURN``. Such a config still runs; it just explores more than its
+    ``epsilon_min`` says.
+    """
+    s = config.scheduler
+    if not isinstance(s, RbedConfig) or s.epsilon_start == s.epsilon_min:
+        return None
+    top = MAX_RETURN[config.environment]
+    needed = math.ceil(s.reward_target)
+    if s.reward_threshold_init + (needed - 1) * s.reward_increment <= top:
+        return None
+    # crossings 0..floor(last) are reachable, fewer than needed (the clamps
+    # keep a rounding of last, or its overflow to inf, from saying otherwise)
+    last = (top - s.reward_threshold_init) / s.reward_increment
+    crossings = 0 if last < 0 else min(math.floor(min(last, needed)) + 1, needed - 1)
+    return s.epsilon_start - crossings * (s.epsilon_start - s.epsilon_min) / s.reward_target
 
 
 def config_to_dict(config: Any) -> dict:

@@ -28,6 +28,13 @@ Every output is the value the one-at-a-time generator gives at the same
 position; only when it is computed changes. The polynomials are derived on
 the first refill (Berlekamp-Massey over 512 bits of the state sequence), not
 at import.
+
+The outputs not yet handed out wait in one list, ``Rng._block``, with the
+next output last. It is the same list object for the generator's whole life,
+and ``_refill`` fills it in place only when it is empty. So a hot loop may
+bind the list and its ``pop`` once, pop the stream in order, and call
+``_refill`` itself whenever the list is empty; it draws exactly what
+``next_u64`` would have.
 """
 
 from __future__ import annotations
@@ -138,6 +145,11 @@ class Rng:
     Every random decision in a run (environment reset, explore/exploit
     draw, random action, tie-break) pulls from one instance in a fixed
     call order, so a seed fully determines the run.
+
+    ``_block`` is one list for the generator's life: it holds the outputs
+    not yet handed out, the next one last, and ``_refill`` refills it in
+    place only when it is empty. ``agent._cartpole_episode`` pops it
+    directly; every other caller draws through the methods below.
     """
 
     __slots__ = ("_s0", "_s1", "_s2", "_s3", "_lanes", "_block")
@@ -154,7 +166,8 @@ class Rng:
         self._block: list[int] = []  # outputs not yet handed out, the next one last
 
     def _refill(self) -> None:
-        """Make the next ``_LANE_STEPS * _LANES`` outputs, all lanes at once."""
+        """Make the next ``_LANE_STEPS * _LANES`` outputs, all lanes at once,
+        into the empty ``_block``."""
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
         if self._lanes == _LANES:
             # each lane moves past the positions the other lanes made
@@ -187,18 +200,16 @@ class Rng:
         # each output carries every lane's word in the low half of its slot
         size, order = 16 * _LANES, sys.byteorder
         words = memoryview(b"".join([o.to_bytes(size, order) for o in outs])).cast("Q")
-        block = []
+        block = self._block  # empty: filled in place, never rebound
         for w in _LANE_WORDS:
             block += words[w :: 2 * _LANES].tolist()
         block.reverse()
-        self._block = block
 
     def next_u64(self) -> int:
         """Next raw 64-bit output."""
         block = self._block
         if not block:
             self._refill()
-            block = self._block
         return block.pop()
 
     def next_f64(self) -> float:

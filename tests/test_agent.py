@@ -9,13 +9,14 @@ import rbed.agent
 from rbed.agent import (
     Discretizer,
     _edges,
+    _explore_below,
     new_q_table,
     q_update,
     reference_episode,
     run_episode,
     select_action,
 )
-from rbed.config import DEFAULT_CLIPS, MAX_CLIP, AgentConfig
+from rbed.config import DEFAULT_BUCKETS, DEFAULT_CLIPS, MAX_CLIP, AgentConfig
 from rbed.envs import LEFT, RIGHT, THETA_THRESHOLD, X_THRESHOLD, TabularCartPole, TabularChain
 from rbed.rng import Rng
 
@@ -402,6 +403,65 @@ def test_rollout_matches_hand_rolled_loop(buckets, clips, epsilon):
         # each ending of the loop is exercised: the two value-terminal ones
         # and the cap, which bootstraps through
         assert min(endings.values()) >= 1, endings
+
+
+def _assert_explore_bound_is_the_float_test(epsilon, *more_u):
+    bound = _explore_below(epsilon)
+    for u in (0, bound - 1, bound, 2**64 - 1, *more_u):
+        if 0 <= u < 2**64:
+            assert (u < bound) == ((u >> 11) * 2**-53 < epsilon), (epsilon, u)
+
+
+@pytest.mark.parametrize(
+    "epsilon, bound",
+    [
+        (-0.0, 0),
+        (5e-324, 1 << 11),
+        (0.5, 1 << 63),
+        (1 - 2**-53, 2**64 - (1 << 11)),
+        (1.0, 2**64),
+        (2.0, 2**64),
+        (math.nan, 0),
+        (math.inf, 2**64),
+        (-math.inf, 0),
+    ],
+)
+def test_explore_bound_at_edge_epsilons(epsilon, bound):
+    assert _explore_below(epsilon) == bound
+    _assert_explore_bound_is_the_float_test(epsilon)
+
+
+@given(st.floats(0.0, 1.0), st.integers(0, 2**64 - 1))
+def test_explore_bound_is_the_float_test(epsilon, u):
+    # the fused loop's one integer compare explores on exactly the draws
+    # select_action's next_f64() < epsilon does
+    _assert_explore_bound_is_the_float_test(epsilon, u)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("left", [0, 1, 2])
+def test_fused_loop_across_a_refill(left, epsilon):
+    # the loop starts with `left` outputs in the generator's list, after the
+    # reset's four; at left 1 and epsilon 0 (a tie on the zero table) or 1 the
+    # refill falls between the explore draw and the action draw
+    d = Discretizer(DEFAULT_BUCKETS, DEFAULT_CLIPS)
+    params = AgentConfig()
+    env = TabularCartPole(d)
+    q = new_q_table(env.n_states, env.n_actions)
+    q2 = new_q_table(env.n_states, env.n_actions)
+    rng, rng2 = Rng(7), Rng(7)
+    block = rng._block
+    for r in (rng, rng2):
+        r.next_u64()  # the first refill
+        for _ in range(len(r._block) - 4 - left):
+            r.next_u64()
+    assert len(block) == 4 + left
+    for ep in range(3):
+        got = run_episode(env, q, epsilon, params, rng, episode=ep)
+        assert got == reference_episode(env, q2, epsilon, params, rng2, episode=ep)
+    assert rng._block is block and len(block) > 4 + left  # refilled in place
+    assert q == q2
+    assert rng.next_u64() == rng2.next_u64()
 
 
 class _CappedStub:

@@ -21,6 +21,7 @@ import rbed.emit
 import rbed.runner
 from rbed.cli import _apply_overrides, _overrides, main
 from rbed.config import (
+    MAX_RETURN,
     MAX_STATES,
     AgentConfig,
     ConfigError,
@@ -33,6 +34,7 @@ from rbed.config import (
     config_to_dict,
     load_config,
     parse_seed_spec,
+    stalled_epsilon,
     validate_config,
 )
 from rbed.emit import (
@@ -389,6 +391,49 @@ def test_rbed_epsilon_trace_on_chain():
     assert eps[1] == 1.0 - change
     assert eps[2] == pytest.approx(1.0 - 2 * change)
     assert eps[3] == eps[2] and eps[5] == eps[2]
+    assert stalled_epsilon(config) == pytest.approx(eps[2])
+
+
+def _walk_to_stall(config):
+    """The schedule itself, fed the environment's largest return every
+    episode until no crossing is left or epsilon is at its floor."""
+    schedule = config.scheduler.schedule()
+    top = MAX_RETURN[config.environment]
+    while schedule.reward_threshold <= top and schedule.epsilon > schedule.epsilon_min:
+        schedule = schedule.update(top)
+    return schedule.epsilon
+
+
+@pytest.mark.parametrize(
+    "data, stops_at",
+    [
+        ({"environment": "chain"}, 0.990),
+        ({"scheduler": {"reward_increment": 2}}, 0.482),
+        ({"scheduler": {"reward_target": 400}}, 0.4975),
+        ({"scheduler": {"reward_target": 202}}, 0.00495),
+        ({"scheduler": {"reward_threshold_init": 250}}, 1.0),
+        ({"scheduler": {"epsilon_min": 0.1, "reward_increment": 4}}, 0.765),
+        ({}, None),
+        ({"scheduler": {"reward_target": 201}}, None),
+        ({"scheduler": {"reward_target": 20.5, "reward_increment": 9.5}}, None),
+        ({"environment": "chain", "scheduler": {"reward_target": 2}}, None),
+        ({"environment": "chain", "scheduler": {"epsilon_min": 1.0}}, None),
+        ({"scheduler": {"kind": "exponential"}}, None),
+        ({"scheduler": {"kind": "constant", "epsilon": 0.5}}, None),
+    ],
+)
+def test_stalled_epsilon_matches_the_schedule_walk(data, stops_at):
+    # the last crossing needs reward_threshold_init + (ceil(reward_target) - 1)
+    # * reward_increment at most the largest return; past it epsilon stops
+    config = config_from_dict(data)
+    got = stalled_epsilon(config)
+    if stops_at is None:
+        assert got is None
+        if isinstance(config.scheduler, RbedConfig):
+            assert _walk_to_stall(config) == pytest.approx(config.scheduler.epsilon_min, abs=1e-12)
+    else:
+        assert got == pytest.approx(stops_at, abs=5e-4)
+        assert got == pytest.approx(_walk_to_stall(config), abs=1e-12)
 
 
 def test_run_experiment_preserves_seed_order():
@@ -862,6 +907,41 @@ def test_cli_compare_parses_seeds_once(tmp_path, capsys, monkeypatch):
     assert parsed == ["4,6"]
     for arm in ("a", "b"):
         assert sorted(p.name for p in (out / arm).glob("run_*.csv")) == ["run_4.csv", "run_6.csv"]
+
+
+def test_cli_warns_once_per_stalling_arm(tmp_path, capsys):
+    chain = write_config(tmp_path, "chain.json", {"environment": "chain"})
+    out = tmp_path / "chain"
+    cmd = ["run", "--config", chain, "--seeds", "1", "--episodes", "3", "--jobs", "1"]
+    assert main([*cmd, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"warning: {chain}: epsilon stalls at 0.9897, above epsilon_min 0: the RBED"
+        " threshold ladder passes 1, the largest episode return on chain"
+    ]
+    assert "warning" not in captured.out
+    a = write_config(tmp_path, "a.json", {**SMALL, "scheduler": {"reward_increment": 2}})
+    b = write_config(tmp_path, "b.json", {**SMALL, "scheduler": {"reward_target": 400}})
+    ok = write_config(tmp_path, "ok.json", SMALL)
+    cmd = ["compare", "--episodes", "2", "--jobs", "1"]
+    assert main([*cmd, "--config-a", a, "--config-b", b, "--out", str(tmp_path / "ab")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith(f"warning: arm a ({a}): epsilon stalls at 0.4821,")
+    assert err[1].startswith(f"warning: arm b ({b}): epsilon stalls at 0.4975,")
+    assert main([*cmd, "--config-a", ok, "--config-b", b, "--out", str(tmp_path / "okb")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"warning: arm b ({b}):")
+
+
+def test_shipped_configs_print_no_warning(tmp_path, capsys):
+    repo = Path(__file__).resolve().parent.parent
+    for path in ("configs/rbed.json", "configs/exponential.json", "perfbench/workloads/random_policy.json"):
+        assert stalled_epsilon(load_config(repo / path)) is None, path
+    a, b = str(repo / "configs/rbed.json"), str(repo / "configs/exponential.json")
+    cmd = ["compare", "--config-a", a, "--config-b", b, "--seeds", "1", "--episodes", "2"]
+    assert main([*cmd, "--jobs", "1", "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_compare_rejects_protocol_mismatch(tmp_path, capsys):

@@ -160,6 +160,23 @@ def test_mixed_draws_across_a_refill():
     assert tuple(draws) == SEED1_MIXED_FROM_58
 
 
+def test_pop_bound_before_a_refill_keeps_the_stream():
+    # _refill fills the one list in place, so a pop bound before the first
+    # refill hands out the stream in order, as the fused cart-pole loop needs
+    rng, twin = Rng(9), Rng(9)
+    block = rng._block
+    pop = block.pop
+    count = 2 * ROUND + 3
+    got = []
+    for _ in range(count):
+        if not block:
+            rng._refill()
+        got.append(pop())
+    assert rng._block is block
+    assert got == [twin.next_u64() for _ in range(count)]
+    assert rng.next_u64() == twin.next_u64()
+
+
 def test_same_seed_same_stream():
     a, b = Rng(1234), Rng(1234)
     assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
