@@ -1,29 +1,26 @@
-"""Command-line interface: run experiments, compare schedules, plot results."""
+"""Command-line interface: run experiments, compare schedules, plot results.
+
+A command imports the layers it runs, inside the command, and this module
+imports none at its top. Each process compiles and executes every module it
+imports, so ``rbed plot`` loads only the emitter, the metrics and the chart
+writer, and ``run`` and ``compare`` load no chart writer.
+"""
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .config import (
-    MAX_RETURN,
-    ConfigError,
-    ExperimentConfig,
-    config_from_dict,
-    load_config,
-    parse_seed_spec,
-    stalled_epsilon,
-)
-from .emit import emit_compare, emit_results, figures_from_dir
-from .metrics import solve_count
-from .runner import ArmReport, compare, run_experiment
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
+    from .runner import ArmReport
 
 
 def _load(path: Optional[str]) -> ExperimentConfig:
+    from .config import config_from_dict, load_config
+
     if path is None:
         return config_from_dict({})
     return load_config(path)
@@ -32,6 +29,8 @@ def _load(path: Optional[str]) -> ExperimentConfig:
 def _overrides(args: argparse.Namespace) -> dict:
     """The config fields that ``--seeds`` and ``--episodes`` set. Parsed once
     per command, so both arms of a compare share one seed tuple."""
+    from .config import parse_seed_spec
+
     overrides = {}
     if args.seeds is not None:
         overrides["seeds"] = parse_seed_spec(args.seeds)
@@ -46,6 +45,8 @@ def _apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentCon
 
 def _warn_if_stalled(name: str, config: ExperimentConfig) -> None:
     """One stderr line if ``name``'s RBED ladder stops above its floor."""
+    from .config import MAX_RETURN, stalled_epsilon
+
     epsilon = stalled_epsilon(config)
     if epsilon is not None:
         print(
@@ -67,9 +68,13 @@ def _summarize_arm(arm: ArmReport) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .emit import emit_results
+    from .metrics import solve_count
+    from .runner import run_experiment, usable_cpus
+
     config = _apply_overrides(_load(args.config), _overrides(args))
     _warn_if_stalled(args.config or "the default config", config)
-    results = run_experiment(config, jobs=args.jobs)
+    results = run_experiment(config, jobs=args.jobs or usable_cpus())
     written = emit_results(results, args.out)
     print(f"ran {len(results)} seed(s) x {config.episodes} episodes ({config.scheduler.kind})")
     print(f"solved {solve_count(results)}/{len(results)}; wrote {len(written)} file(s) to {args.out}")
@@ -77,12 +82,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .emit import emit_compare
+    from .runner import compare, usable_cpus
+
     overrides = _overrides(args)
     config_a = _apply_overrides(_load(args.config_a), overrides)
     config_b = _apply_overrides(_load(args.config_b), overrides)
     _warn_if_stalled(f"arm a ({args.config_a})", config_a)
     _warn_if_stalled(f"arm b ({args.config_b})", config_b)
-    report = compare(config_a, config_b, jobs=args.jobs)
+    report = compare(config_a, config_b, jobs=args.jobs or usable_cpus())
     emit_compare(report, args.out)
     print(_summarize_arm(report.a))
     print(_summarize_arm(report.b))
@@ -93,6 +101,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    from .emit import figures_from_dir
+
     written = figures_from_dir(args.in_dir, args.out)
     for path in written:
         print(f"wrote {path}")
@@ -122,8 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jobs",
             type=_at_least_one,
-            default=os.cpu_count() or 1,
-            help="worker processes across seeds (default: all cores)",
+            help="worker processes across seeds (default: every usable CPU)",
         )
 
     run_p = sub.add_parser("run", help="run one experiment config")
@@ -152,12 +161,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # only a command that loaded rbed.config can raise a ConfigError
+        config = sys.modules.get(f"{__package__}.config")
+        return 2 if config is not None and isinstance(exc, config.ConfigError) else 1
 
 
 if __name__ == "__main__":

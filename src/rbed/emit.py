@@ -9,12 +9,12 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .config import config_to_dict
 from .metrics import SOLVED_THRESHOLD, SOLVED_WINDOW, AggregateCurves, RunResult, aggregate_runs
-from .runner import ArmReport, ComparisonReport
-from .svgchart import Series, line_chart
+
+if TYPE_CHECKING:
+    from .runner import ArmReport, ComparisonReport
 
 RUN_HEADER = "episode,reward,epsilon,steps"
 AGGREGATE_HEADER = "episode,mean_reward,mean_rolling100,mean_epsilon"
@@ -71,6 +71,8 @@ def emit_results(results: Sequence[RunResult], out_dir: str | Path) -> list[Path
 
 
 def _arm_to_dict(arm: ArmReport) -> dict:
+    from .config import config_to_dict  # loaded already: a report holds configs
+
     return {
         "label": arm.label,
         "scheduler_kind": arm.config.scheduler.kind,
@@ -103,22 +105,24 @@ def emit_compare(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
     return _write_files(out_dir, files())
 
 
-def _series(label: str, first_x: int, ys: Sequence[float]) -> Series:
-    return Series(label=label, xs=list(range(first_x, first_x + len(ys))), ys=list(ys))
-
-
 def render_figures(labeled_curves: Sequence[tuple[str, AggregateCurves]]) -> dict[str, str]:
     """Build the three benchmark charts as SVG strings keyed by filename."""
+    from .svgchart import Series, line_chart
+
     if not labeled_curves:
         raise ValueError("render_figures needs at least one curve set")
+
+    def as_series(label: str, first_x: int, ys: Sequence[float]) -> Series:
+        return Series(label=label, xs=list(range(first_x, first_x + len(ys))), ys=list(ys))
+
     reward = line_chart(
         title="Mean episode reward",
         x_label="episode",
         y_label="reward",
-        series=[_series(label, 1, c.mean_reward) for label, c in labeled_curves],
+        series=[as_series(label, 1, c.mean_reward) for label, c in labeled_curves],
     )
     rolling_series = [
-        _series(label, c.window, c.mean_rolling) for label, c in labeled_curves if c.mean_rolling
+        as_series(label, c.window, c.mean_rolling) for label, c in labeled_curves if c.mean_rolling
     ]
     window = labeled_curves[0][1].window
     rolling = line_chart(
@@ -134,7 +138,7 @@ def render_figures(labeled_curves: Sequence[tuple[str, AggregateCurves]]) -> dic
         title="Exploration rate by episode",
         x_label="episode",
         y_label="epsilon",
-        series=[_series(label, 1, c.mean_epsilon) for label, c in labeled_curves],
+        series=[as_series(label, 1, c.mean_epsilon) for label, c in labeled_curves],
         y_max=1.0,
     )
     return dict(zip(FIGURE_NAMES, (reward, rolling, epsilon)))

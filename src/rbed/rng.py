@@ -217,9 +217,12 @@ class Rng:
         return (self.next_u64() >> 11) * _INV_2_53
 
     def next_int_below(self, n: int) -> int:
-        """Uniform integer in [0, n), unbiased (rejection sampling, no raw modulo)."""
+        """Uniform integer in [0, n), unbiased (rejection sampling, no raw
+        modulo). One draw covers at most 2**64 values, so n is in [1, 2**64]."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        if n > _MASK64 + 1:
+            raise ValueError(f"n must be <= 2**64, got {n}")
         limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
         while True:
             u = self.next_u64()

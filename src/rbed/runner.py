@@ -42,12 +42,21 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> RunResult:
     return RunResult(seed=seed, records=records, solved_at=solved_at(records))
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset`` and container CPU sets narrow it), else
+    the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_tasks(configs: tuple[ExperimentConfig, ...], jobs: int) -> list[RunResult]:
     """Run every seed of each config, in one process pool of at most ``jobs``
-    workers and at most one per core. Results follow config then seed order
+    workers and at most one per usable CPU. Results follow config then seed order
     regardless of execution order, so parallel output equals sequential output."""
     tasks = [(config, seed) for config in configs for seed in config.seeds]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), usable_cpus())
     if workers <= 1:
         return [run_single_seed(config, seed) for config, seed in tasks]
     # imported here: concurrent.futures loads multiprocessing, which serial runs never use

@@ -448,9 +448,25 @@ def test_parallel_equals_sequential():
 
 
 @pytest.mark.parametrize(
+    "affinity, cores, usable",
+    [({0}, 2, 1), ({0, 1, 3}, 8, 3), (None, 4, 4), (None, None, 1)],
+    ids=["affinity_mask", "affinity_subset", "no_affinity", "unknown_cores"],
+)
+def test_usable_cpus(monkeypatch, affinity, cores, usable):
+    # the affinity mask wins where the platform has one (under taskset -c 0
+    # os.cpu_count() still reads every CPU of the machine)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert rbed.runner.usable_cpus() == usable
+
+
+@pytest.mark.parametrize(
     "cores, jobs, workers",
-    [(4, 100_000, 3), (2, 8, 2), (1, 8, None), (None, 8, None), (4, 1, None)],
-    ids=["tasks_cap", "cores_cap", "one_core", "unknown_cores", "one_job"],
+    [(4, 100_000, 3), (2, 8, 2), (1, 8, None), (4, 1, None)],
+    ids=["tasks_cap", "cores_cap", "one_core", "one_job"],
 )
 def test_pool_size_is_capped_at_cores_and_tasks(monkeypatch, cores, jobs, workers):
     # a stand-in executor that records its size and maps serially, so no
@@ -471,7 +487,7 @@ def test_pool_size_is_capped_at_cores_and_tasks(monkeypatch, cores, jobs, worker
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(rbed.runner, "usable_cpus", lambda: cores)
     config = small_config(seeds=[1, 2, 3], episodes=2)
     results = run_experiment(config, jobs=jobs)
     assert sizes == ([] if workers is None else [workers])
@@ -898,7 +914,7 @@ def test_cli_compare_parses_seeds_once(tmp_path, capsys, monkeypatch):
         parsed.append(spec)
         return parse_seed_spec(spec)
 
-    monkeypatch.setattr(rbed.cli, "parse_seed_spec", counting)
+    monkeypatch.setattr(rbed.config, "parse_seed_spec", counting)
     a = write_config(tmp_path, "a.json", SMALL)
     b = write_config(tmp_path, "b.json", {**SMALL, "scheduler": {"kind": "exponential"}})
     out = tmp_path / "cmp"
@@ -1005,28 +1021,83 @@ def test_public_api_surface():
     assert missing == []
     for name in ("compare", "run_experiment", "emit_compare", "config_from_dict", "Rng"):
         assert name in rbed.__all__
+    assert not hasattr(rbed, "no_such_name")
 
 
 # xml.sax pulls in urllib, http, email, ssl and socket; concurrent.futures
 # pulls in multiprocessing. A serial run or a plot needs none of them.
 _UNUSED_AT_IMPORT = ("xml", "urllib", "http", "email", "ssl", "socket", "concurrent", "multiprocessing")
 
+_LAYERS = [
+    "rbed.agent", "rbed.cli", "rbed.config", "rbed.emit", "rbed.envs", "rbed.metrics",
+    "rbed.rng", "rbed.runner", "rbed.schedules", "rbed.svgchart",
+]
 
-def test_import_loads_no_network_or_pool_modules():
+
+def _modules_loaded_by(code: str, cwd: Path | None = None) -> list[str]:
+    """The modules a fresh interpreter loads while it runs ``code``, sorted."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = (
+    script = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import rbed.cli\n"
-        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+        f"{code}\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True, check=True
     ).stdout
-    added = out.split()
-    assert "rbed.cli" in added
-    assert [name for name in added if name.split(".")[0] in _UNUSED_AT_IMPORT] == []
+    return out.splitlines()[-1].split()
+
+
+def _rbed(modules: list[str]) -> list[str]:
+    return [name for name in modules if name.split(".")[0] == "rbed"]
+
+
+def _unused(modules: list[str]) -> list[str]:
+    return [name for name in modules if name.split(".")[0] in _UNUSED_AT_IMPORT]
+
+
+def test_import_loads_no_network_or_pool_modules():
+    added = _modules_loaded_by("import rbed.cli")
+    assert _rbed(added) == ["rbed", "rbed.cli"]
+    assert _unused(added) == []
+    assert _rbed(_modules_loaded_by("import rbed")) == ["rbed"]
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    write_config(tmp_path, "a.json", SMALL)
+    write_config(tmp_path, "b.json", {**SMALL, "scheduler": {"kind": "exponential"}})
+    commands = {
+        "run": ["run", "--config", "a.json", "--out", "run", "--jobs", "1"],
+        "compare": ["compare", "--config-a", "a.json", "--config-b", "b.json", "--out", "cmp", "--jobs", "1"],
+        "plot a run": ["plot", "--in", "run", "--out", "run/figs"],
+        "plot a compare": ["plot", "--in", "cmp", "--out", "cmp/figs"],
+    }
+    loaded = {
+        command: _modules_loaded_by(f"from rbed.cli import main\nassert main({argv!r}) == 0", cwd=tmp_path)
+        for command, argv in commands.items()
+    }
+    all_but_charts = [name for name in _LAYERS if name != "rbed.svgchart"]
+    assert _rbed(loaded["run"]) == ["rbed", *all_but_charts]
+    assert _rbed(loaded["compare"]) == ["rbed", *all_but_charts]
+    plot = ["rbed", "rbed.cli", "rbed.emit", "rbed.metrics", "rbed.svgchart"]
+    assert _rbed(loaded["plot a run"]) == plot
+    assert _rbed(loaded["plot a compare"]) == plot
+    assert [_unused(modules) for modules in loaded.values()] == [[]] * len(commands)
+    assert sorted(p.name for p in (tmp_path / "cmp" / "figs").iterdir()) == sorted(FIGURE_NAMES)
+
+
+def test_every_export_imports_in_a_fresh_interpreter():
+    code = (
+        "import rbed\n"
+        "assert set(rbed.__all__) <= set(dir(rbed))\n"
+        "from rbed import *\n"
+        "assert [name for name in rbed.__all__ if name not in globals()] == []\n"
+        "assert all(getattr(rbed, name).__module__.startswith('rbed.') for name in rbed.__all__)"
+    )
+    exported_layers = [name for name in _LAYERS if name not in ("rbed.cli", "rbed.svgchart")]
+    assert _rbed(_modules_loaded_by(code)) == ["rbed", *exported_layers]
 
 
 def test_shipped_configs_load():

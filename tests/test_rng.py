@@ -222,6 +222,14 @@ def test_int_below_rejects_zero():
         rng.next_int_below(0)
 
 
+def test_int_below_spans_at_most_one_draw():
+    # 2**64 takes every draw as it is; one more value would reject every draw
+    a, b = Rng(1), Rng(1)
+    assert [a.next_int_below(2**64) for _ in range(5)] == [b.next_u64() for _ in range(5)]
+    with pytest.raises(ValueError, match=str(2**64 + 1)):
+        Rng(1).next_int_below(2**64 + 1)
+
+
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=1000))
 def test_int_below_in_range(seed, n):
     rng = Rng(seed)
