@@ -51,20 +51,70 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _run_share(share: list[tuple[ExperimentConfig, int]], sender) -> None:
+    """A started process's work: run its share of the seed-runs and send the
+    results back as one message, or the exception that stopped them."""
+    try:
+        message = [run_single_seed(config, seed) for config, seed in share]
+    except Exception as exc:
+        message = exc
+    sender.send(message)
+
+
+def _receive(k: int, process, receiver) -> list[RunResult]:
+    """Worker k's results. An exception it sent is raised here; a worker that
+    exits without sending raises ``ChildProcessError``."""
+    try:
+        message = receiver.recv()
+    except EOFError:
+        process.join()
+        raise ChildProcessError(
+            f"worker {k} (pid {process.pid}) exited with code {process.exitcode}"
+            " before sending its results"
+        ) from None
+    if isinstance(message, Exception):
+        raise message
+    return message
+
+
 def _run_tasks(configs: tuple[ExperimentConfig, ...], jobs: int) -> list[RunResult]:
-    """Run every seed of each config, in one process pool of at most ``jobs``
-    workers and at most one per usable CPU. Results follow config then seed order
-    regardless of execution order, so parallel output equals sequential output."""
+    """Run every seed of each config in ``workers`` processes: at most ``jobs``,
+    at most one per usable CPU and at most one per seed-run. The calling
+    process is one of them and starts the others. Process k (the caller is
+    k = 0) runs tasks k, k + workers, k + 2 * workers, ... of the config-then-seed
+    task list, so each process gets seeds from every config. Results follow
+    config then seed order, so parallel output equals sequential output."""
     tasks = [(config, seed) for config in configs for seed in config.seeds]
     workers = min(jobs, len(tasks), usable_cpus())
     if workers <= 1:
         return [run_single_seed(config, seed) for config, seed in tasks]
-    # imported here: concurrent.futures loads multiprocessing, which serial runs never use
-    from concurrent.futures import ProcessPoolExecutor
+    # imported here: serial runs never load multiprocessing
+    import multiprocessing
 
-    task_configs, seeds = zip(*tasks)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_single_seed, task_configs, seeds))
+    started = []
+    try:
+        for k in range(1, workers):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            process = multiprocessing.Process(
+                target=_run_share, args=(tasks[k::workers], sender), name=f"rbed-worker-{k}"
+            )
+            process.start()
+            started.append((process, receiver))
+            sender.close()  # the worker's copy is the last one: its exit ends the pipe
+        shares = [[run_single_seed(config, seed) for config, seed in tasks[::workers]]]
+        shares += [_receive(k, *pair) for k, pair in enumerate(started, start=1)]
+    except BaseException:
+        for process, _ in started:
+            process.terminate()
+        raise
+    finally:
+        for process, receiver in started:
+            process.join()
+            receiver.close()
+    results = [None] * len(tasks)
+    for k, share in enumerate(shares):
+        results[k::workers] = share
+    return results
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
@@ -140,7 +190,8 @@ def compare(
     kind_b = config_b.scheduler.kind
     label_a = kind_a if kind_a != kind_b else f"a:{kind_a}"
     label_b = kind_b if kind_a != kind_b else f"b:{kind_b}"
-    # one pool over both arms, so no core idles on one arm's slowest seed
+    # one task list over both arms: each process's share holds seeds of both,
+    # so no process idles while another runs the slower arm
     runs = _run_tasks((config_a, config_b), jobs)
     n = len(config_a.seeds)
     arm_a = _arm_report(label_a, config_a, runs[:n])

@@ -2,8 +2,9 @@
 
 These intentionally re-verify ground the unit suites cover, as a single
 self-contained checklist. Criteria 7 and 8 run the full default comparison
-(20 seeds x 500 episodes x 2 arms) once via a shared fixture; the module
-takes about 25 s on one core of a 2-vCPU x86 machine.
+(20 seeds x 500 episodes x 2 arms) once via a shared fixture, and the byte
+gate runs it once more through the CLI at --jobs 2; the module takes about
+30 s on a 2-vCPU x86 machine.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import pytest
 
 from rbed.agent import new_q_table, run_episode
 from rbed.config import AgentConfig, config_from_dict, load_config
+from rbed.emit import emit_compare, figures_from_dir
 from rbed.envs import LEFT, RIGHT, CartPoleState, TabularChain, cartpole_step
 from rbed.metrics import EpisodeRecord, solved_at
 from rbed.rng import Rng
@@ -151,6 +153,10 @@ def tree_bytes(root):
     }
 
 
+def digests(root):
+    return {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(root).items()}
+
+
 def test_criterion_6_determinism_and_parallel_equivalence(tmp_path):
     config_a = tmp_path / "a.json"
     config_b = tmp_path / "b.json"
@@ -192,8 +198,7 @@ def test_shipped_configs_reproduce_reference_digests(tmp_path):
     )
     cli("plot", "--in", str(out), "--out", str(out / "figures"))
     want = json.loads((REPO / "perfbench" / "reference_digests.json").read_text(encoding="utf-8"))
-    got = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()}
-    assert got == want
+    assert digests(out) == want
     report("PASS golden outputs: seeds 1..3 compare and plot match reference_digests.json")
 
 
@@ -208,6 +213,34 @@ def default_comparison():
     assert config_a == config_from_dict({})
     assert config_b == config_from_dict({"scheduler": {"kind": "exponential"}})
     return compare(config_a, config_b, jobs=1)
+
+
+# the 46 files of the default compare (seeds 1..20) and its plot, hashed once
+# at --jobs 1 before the pooled runner took its current form
+DEFAULT_DIGESTS = json.loads((REPO / "tests" / "default_digests.json").read_text(encoding="utf-8"))
+
+
+def test_default_comparison_matches_default_digests(default_comparison, tmp_path):
+    out = tmp_path / "results"
+    emit_compare(default_comparison, out)
+    figures_from_dir(out, out / "figures")
+    assert len(DEFAULT_DIGESTS) == 46
+    assert digests(out) == DEFAULT_DIGESTS
+    report("PASS golden outputs: the default compare and plot match default_digests.json")
+
+
+def test_default_compare_at_jobs_2_matches_default_digests(tmp_path):
+    out = tmp_path / "results"
+    cli(
+        "compare",
+        "--config-a", str(CONFIGS / "rbed.json"),
+        "--config-b", str(CONFIGS / "exponential.json"),
+        "--jobs", "2",
+        "--out", str(out),
+    )
+    cli("plot", "--in", str(out), "--out", str(out / "figures"))
+    assert digests(out) == DEFAULT_DIGESTS
+    report("PASS golden outputs: rbed compare --jobs 2 and its plot match default_digests.json")
 
 
 def crossing_episode(curves, level=195.0):

@@ -1,12 +1,14 @@
 """Config parsing, experiment orchestration, file emission, and the CLI."""
 
 import argparse
-import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
@@ -463,35 +465,109 @@ def test_usable_cpus(monkeypatch, affinity, cores, usable):
     assert rbed.runner.usable_cpus() == usable
 
 
+@pytest.fixture
+def started_processes(monkeypatch):
+    """Every process the runner starts, in start order; each start goes ahead."""
+    started = []
+    real_start = multiprocessing.Process.start
+
+    def recording_start(process):
+        started.append(process)
+        real_start(process)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", recording_start)
+    return started
+
+
 @pytest.mark.parametrize(
-    "cores, jobs, workers",
-    [(4, 100_000, 3), (2, 8, 2), (1, 8, None), (4, 1, None)],
+    "cores, jobs, started",
+    [(4, 100_000, 2), (2, 8, 1), (1, 8, 0), (4, 1, 0)],
     ids=["tasks_cap", "cores_cap", "one_core", "one_job"],
 )
-def test_pool_size_is_capped_at_cores_and_tasks(monkeypatch, cores, jobs, workers):
-    # a stand-in executor that records its size and maps serially, so no
-    # process is ever started
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return None
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+def test_pool_size_is_capped_at_cores_and_tasks(monkeypatch, started_processes, cores, jobs, started):
+    # the calling process runs one share itself: N processes means N - 1 started
     monkeypatch.setattr(rbed.runner, "usable_cpus", lambda: cores)
     config = small_config(seeds=[1, 2, 3], episodes=2)
     results = run_experiment(config, jobs=jobs)
-    assert sizes == ([] if workers is None else [workers])
+    assert len(started_processes) == started
     assert results == [run_single_seed(config, seed) for seed in (1, 2, 3)]
+    assert multiprocessing.active_children() == []
+
+
+def test_uneven_shares_keep_config_then_seed_order(monkeypatch):
+    # 7 seed-runs over 3 processes: shares of 3, 2 and 2, each mixing both arms
+    monkeypatch.setattr(rbed.runner, "usable_cpus", lambda: 3)
+    configs = (
+        small_config(seeds=[4, 1, 7, 2], episodes=3),
+        small_config(seeds=[9, 3, 5], episodes=3, scheduler={"kind": "exponential"}),
+    )
+    serial = [run_single_seed(config, seed) for config in configs for seed in config.seeds]
+    assert rbed.runner._run_tasks(configs, jobs=3) == serial
+
+
+_FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched run_single_seed reaches a worker only through fork",
+)
+
+
+def _patch_seeds(monkeypatch, actions):
+    """Two usable CPUs, and make rbed.runner.run_single_seed call
+    ``actions[seed]()`` first, in whichever process runs that seed. Over
+    seeds 1, 2, 3 at jobs=2, seeds 1 and 3 are the caller's share and seed
+    2 the started worker's."""
+    real = rbed.runner.run_single_seed
+
+    def patched(config, seed):
+        if seed in actions:
+            actions[seed]()
+        return real(config, seed)
+
+    monkeypatch.setattr(rbed.runner, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(rbed.runner, "run_single_seed", patched)
+
+
+def _raise(exc):
+    def action():
+        raise exc
+
+    return action
+
+
+@_FORK_ONLY
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    _patch_seeds(monkeypatch, {2: _raise(ValueError("seed 2 broke"))})
+    with pytest.raises(ValueError, match="^seed 2 broke$"):
+        run_experiment(small_config(seeds=[1, 2, 3], episodes=2), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+@_FORK_ONLY
+def test_dead_worker_ends_the_command_with_an_error(monkeypatch, tmp_path, capsys):
+    _patch_seeds(monkeypatch, {2: lambda: os._exit(3)})
+    with pytest.raises(ChildProcessError, match=r"^worker 1 \(pid \d+\) exited with code 3 "):
+        run_experiment(small_config(seeds=[1, 2, 3], episodes=2), jobs=2)
+    assert multiprocessing.active_children() == []
+    argv = ["run", "--out", str(tmp_path / "o"), "--seeds", "1..3", "--episodes", "2", "--jobs", "2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: worker 1 (pid ") and "exited with code 3" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    assert multiprocessing.active_children() == []
+
+
+@_FORK_ONLY
+@pytest.mark.parametrize("exc", [RuntimeError("parent broke"), KeyboardInterrupt()], ids=["error", "interrupt"])
+def test_parent_share_error_stops_the_started_workers(monkeypatch, started_processes, exc):
+    # the worker's seed would sleep far past the test unless it is terminated
+    _patch_seeds(monkeypatch, {1: _raise(exc), 2: lambda: time.sleep(60)})
+    begin = time.monotonic()
+    with pytest.raises(type(exc)):
+        run_experiment(small_config(seeds=[1, 2, 3], episodes=2), jobs=2)
+    assert time.monotonic() - begin < 30
+    assert [process.exitcode for process in started_processes] == [-signal.SIGTERM]
+    assert multiprocessing.active_children() == []
 
 
 def test_run_experiment_validates():
@@ -1024,8 +1100,9 @@ def test_public_api_surface():
     assert not hasattr(rbed, "no_such_name")
 
 
-# xml.sax pulls in urllib, http, email, ssl and socket; concurrent.futures
-# pulls in multiprocessing. A serial run or a plot needs none of them.
+# xml.sax pulls in urllib, http, email, ssl and socket; multiprocessing pulls
+# in socket. A serial run or a plot needs none of them, and no command needs
+# concurrent.futures.
 _UNUSED_AT_IMPORT = ("xml", "urllib", "http", "email", "ssl", "socket", "concurrent", "multiprocessing")
 
 _LAYERS = [
@@ -1078,14 +1155,55 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         command: _modules_loaded_by(f"from rbed.cli import main\nassert main({argv!r}) == 0", cwd=tmp_path)
         for command, argv in commands.items()
     }
+    # two usable CPUs, so --jobs 2 takes the pooled branch on any host
+    pooled = _modules_loaded_by(
+        "import rbed.runner\n"
+        "rbed.runner.usable_cpus = lambda: 2\n"
+        "from rbed.cli import main\n"
+        "assert main(['compare', '--config-a', 'a.json', '--config-b', 'b.json', '--out', 'pooled', '--jobs', '2']) == 0",
+        cwd=tmp_path,
+    )
     all_but_charts = [name for name in _LAYERS if name != "rbed.svgchart"]
     assert _rbed(loaded["run"]) == ["rbed", *all_but_charts]
     assert _rbed(loaded["compare"]) == ["rbed", *all_but_charts]
+    assert _rbed(pooled) == ["rbed", *all_but_charts]
     plot = ["rbed", "rbed.cli", "rbed.emit", "rbed.metrics", "rbed.svgchart"]
     assert _rbed(loaded["plot a run"]) == plot
     assert _rbed(loaded["plot a compare"]) == plot
     assert [_unused(modules) for modules in loaded.values()] == [[]] * len(commands)
+    assert "multiprocessing" in pooled
+    assert [name for name in _unused(pooled) if name.split(".")[0] not in ("multiprocessing", "socket")] == []
     assert sorted(p.name for p in (tmp_path / "cmp" / "figs").iterdir()) == sorted(FIGURE_NAMES)
+
+
+def test_spawned_workers_give_the_serial_bytes(tmp_path):
+    # spawn (macOS's default; forkserver, Linux's from Python 3.14, also
+    # pickles each share) re-imports rbed in each worker and unpickles its share
+    write_config(tmp_path, "a.json", SMALL)
+    write_config(tmp_path, "b.json", {**SMALL, "scheduler": {"kind": "exponential"}})
+    argv = ["compare", "--config-a", "a.json", "--config-b", "b.json", "--seeds", "1..3"]
+    code = (
+        "import multiprocessing\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "import rbed.runner\n"
+        "rbed.runner.usable_cpus = lambda: 2\n"
+        "started = []\n"
+        "real_start = multiprocessing.Process.start\n"
+        "multiprocessing.Process.start = lambda p: (started.append(p), real_start(p))[1]\n"
+        "from rbed.cli import main\n"
+        f"assert main({[*argv, '--jobs', '2', '--out', 'spawned']!r}) == 0\n"
+        "assert len(started) == 1 and multiprocessing.get_start_method() == 'spawn'\n"
+        "assert multiprocessing.active_children() == []\n"
+        f"assert main({[*argv, '--jobs', '1', '--out', 'serial']!r}) == 0\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    spawned, serial = (
+        {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        for root in (tmp_path / "spawned", tmp_path / "serial")
+    )
+    assert len(spawned) == 2 * 3 + 3
+    assert spawned == serial
 
 
 def test_every_export_imports_in_a_fresh_interpreter():
