@@ -51,22 +51,39 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_share(share: list[tuple[ExperimentConfig, int]], sender) -> None:
-    """A started process's work: run its share of the seed-runs and send the
-    results back as one message, or the exception that stopped them."""
+def _serve(tasks: list[tuple[ExperimentConfig, int]], conn) -> None:
+    """A started process's work: run each seed-run whose index the caller
+    sends and send the index back when it is done, which asks for another.
+    At ``None``, send every result in one message; an exception is sent in
+    its place and ends the process. Only indices pass during the run, so a
+    worker never waits for the caller to read a result."""
     try:
-        message = [run_single_seed(config, seed) for config, seed in share]
+        done = {}
+        for i in iter(conn.recv, None):
+            config, seed = tasks[i]
+            done[i] = run_single_seed(config, seed)
+            conn.send(i)
+        message = done
     except Exception as exc:
         message = exc
-    sender.send(message)
+    conn.send(message)
 
 
-def _receive(k: int, process, receiver) -> list[RunResult]:
-    """Worker k's results. An exception it sent is raised here; a worker that
-    exits without sending raises ``ChildProcessError``."""
+def _hand(conn, message) -> None:
+    """Send a worker an index, or ``None`` to stop it. One that has already
+    stopped cannot take it; receiving from it then says why."""
     try:
-        message = receiver.recv()
-    except EOFError:
+        conn.send(message)
+    except OSError:
+        pass
+
+
+def _receive(k: int, process, conn):
+    """Worker k's next message. An exception it sent is raised here; a
+    worker that exits without sending raises ``ChildProcessError``."""
+    try:
+        message = conn.recv()
+    except (EOFError, OSError):  # OSError: it exited holding unread indices
         process.join()
         raise ChildProcessError(
             f"worker {k} (pid {process.pid}) exited with code {process.exitcode}"
@@ -80,10 +97,12 @@ def _receive(k: int, process, receiver) -> list[RunResult]:
 def _run_tasks(configs: tuple[ExperimentConfig, ...], jobs: int) -> list[RunResult]:
     """Run every seed of each config in ``workers`` processes: at most ``jobs``,
     at most one per usable CPU and at most one per seed-run. The calling
-    process is one of them and starts the others. Process k (the caller is
-    k = 0) runs tasks k, k + workers, k + 2 * workers, ... of the config-then-seed
-    task list, so each process gets seeds from every config. Results follow
-    config then seed order, so parallel output equals sequential output."""
+    process is one of them. It starts the others and, between its own
+    seed-runs, hands each the index of the next seed-run of the
+    config-then-seed task list, so a faster process runs more of them. Each
+    started process sends its results in one message at the end. Results
+    follow config then seed order, so parallel output equals sequential
+    output."""
     tasks = [(config, seed) for config in configs for seed in config.seeds]
     workers = min(jobs, len(tasks), usable_cpus())
     if workers <= 1:
@@ -91,29 +110,51 @@ def _run_tasks(configs: tuple[ExperimentConfig, ...], jobs: int) -> list[RunResu
     # imported here: serial runs never load multiprocessing
     import multiprocessing
 
-    started = []
+    results = [None] * len(tasks)
+    next_task = 0
+    started = {}  # the caller's end of each worker's pipe: (k, process)
+    held = {}  # the same ends: how many indices that worker holds
+
     try:
         for k in range(1, workers):
-            receiver, sender = multiprocessing.Pipe(duplex=False)
+            conn, child_conn = multiprocessing.Pipe()
             process = multiprocessing.Process(
-                target=_run_share, args=(tasks[k::workers], sender), name=f"rbed-worker-{k}"
+                target=_serve, args=(tasks, child_conn), name=f"rbed-worker-{k}"
             )
             process.start()
-            started.append((process, receiver))
-            sender.close()  # the worker's copy is the last one: its exit ends the pipe
-        shares = [[run_single_seed(config, seed) for config, seed in tasks[::workers]]]
-        shares += [_receive(k, *pair) for k, pair in enumerate(started, start=1)]
+            started[conn], held[conn] = (k, process), 0
+            child_conn.close()  # the worker's copy is the last one: its exit ends the pipe
+        while True:
+            # a worker holds the seed-run it runs and the next, so it does not
+            # wait for the caller's to end; the last goes to whoever is free
+            for conn, worker in started.items():
+                while held[conn] and conn.poll():
+                    _receive(*worker, conn)  # the index of a seed-run it finished
+                    held[conn] -= 1
+                while held[conn] < min(2, len(tasks) - next_task):
+                    _hand(conn, next_task)
+                    next_task += 1
+                    held[conn] += 1
+            if next_task == len(tasks):
+                break
+            config, seed = tasks[next_task]
+            results[next_task] = run_single_seed(config, seed)
+            next_task += 1
+        for conn in started:
+            _hand(conn, None)
+        for conn, worker in started.items():
+            for _ in range(held[conn]):
+                _receive(*worker, conn)
+            for i, result in _receive(*worker, conn).items():
+                results[i] = result
     except BaseException:
-        for process, _ in started:
+        for _, process in started.values():
             process.terminate()
         raise
     finally:
-        for process, receiver in started:
+        for conn, (_, process) in started.items():
             process.join()
-            receiver.close()
-    results = [None] * len(tasks)
-    for k, share in enumerate(shares):
-        results[k::workers] = share
+            conn.close()
     return results
 
 
@@ -190,8 +231,8 @@ def compare(
     kind_b = config_b.scheduler.kind
     label_a = kind_a if kind_a != kind_b else f"a:{kind_a}"
     label_b = kind_b if kind_a != kind_b else f"b:{kind_b}"
-    # one task list over both arms: each process's share holds seeds of both,
-    # so no process idles while another runs the slower arm
+    # one task list over both arms, handed out in order to whichever process
+    # is free, so no process idles while another runs the slower arm
     runs = _run_tasks((config_a, config_b), jobs)
     n = len(config_a.seeds)
     arm_a = _arm_report(label_a, config_a, runs[:n])

@@ -1,6 +1,7 @@
 """Config parsing, experiment orchestration, file emission, and the CLI."""
 
 import argparse
+import functools
 import json
 import math
 import multiprocessing
@@ -485,7 +486,7 @@ def started_processes(monkeypatch):
     ids=["tasks_cap", "cores_cap", "one_core", "one_job"],
 )
 def test_pool_size_is_capped_at_cores_and_tasks(monkeypatch, started_processes, cores, jobs, started):
-    # the calling process runs one share itself: N processes means N - 1 started
+    # the calling process runs seed-runs itself: N processes means N - 1 started
     monkeypatch.setattr(rbed.runner, "usable_cpus", lambda: cores)
     config = small_config(seeds=[1, 2, 3], episodes=2)
     results = run_experiment(config, jobs=jobs)
@@ -494,8 +495,8 @@ def test_pool_size_is_capped_at_cores_and_tasks(monkeypatch, started_processes, 
     assert multiprocessing.active_children() == []
 
 
-def test_uneven_shares_keep_config_then_seed_order(monkeypatch):
-    # 7 seed-runs over 3 processes: shares of 3, 2 and 2, each mixing both arms
+def test_three_processes_keep_config_then_seed_order(monkeypatch):
+    # 7 seed-runs of two arms over 3 processes, whose results arrive out of order
     monkeypatch.setattr(rbed.runner, "usable_cpus", lambda: 3)
     configs = (
         small_config(seeds=[4, 1, 7, 2], episodes=3),
@@ -505,8 +506,9 @@ def test_uneven_shares_keep_config_then_seed_order(monkeypatch):
     assert rbed.runner._run_tasks(configs, jobs=3) == serial
 
 
+# read without fixing the start method, which get_start_method() would do
 _FORK_ONLY = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
+    (multiprocessing.get_start_method(allow_none=True) or multiprocessing.get_all_start_methods()[0]) != "fork",
     reason="the patched run_single_seed reaches a worker only through fork",
 )
 
@@ -514,8 +516,8 @@ _FORK_ONLY = pytest.mark.skipif(
 def _patch_seeds(monkeypatch, actions):
     """Two usable CPUs, and make rbed.runner.run_single_seed call
     ``actions[seed]()`` first, in whichever process runs that seed. Over
-    seeds 1, 2, 3 at jobs=2, seeds 1 and 3 are the caller's share and seed
-    2 the started worker's."""
+    seeds 1, 2, 3 at jobs=2, the started worker is handed seeds 1 and 2
+    before the caller runs seed 3."""
     real = rbed.runner.run_single_seed
 
     def patched(config, seed):
@@ -535,11 +537,57 @@ def _raise(exc):
 
 
 @_FORK_ONLY
+@pytest.mark.parametrize(
+    "seeds, sleeps, caller_ran, worker_ran",
+    [
+        # the worker's first seed-run takes a second: the caller runs the rest
+        ([1, 2, 3, 4, 5, 6], {1: 1.0}, [3, 4, 5, 6], [1, 2]),
+        # the worker still runs seed 2 when the caller ends seed 3, so the
+        # caller keeps the last seed-run instead of queueing it behind seed 2
+        ([1, 2, 3, 4], {2: 1.0, 3: 0.2}, [3, 4], [1, 2]),
+    ],
+    ids=["slow_worker", "last_to_the_free_process"],
+)
+def test_seed_runs_go_to_the_free_process(monkeypatch, tmp_path, seeds, sleeps, caller_ran, worker_ran):
+    log = tmp_path / "ran"
+    _patch_seeds(monkeypatch, {seed: functools.partial(time.sleep, s) for seed, s in sleeps.items()})
+    patched = rbed.runner.run_single_seed
+
+    def logged(config, seed):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()} {seed}\n")
+        return patched(config, seed)
+
+    monkeypatch.setattr(rbed.runner, "run_single_seed", logged)
+    config = small_config(seeds=seeds, episodes=2)
+    assert run_experiment(config, jobs=2) == [run_single_seed(config, seed) for seed in seeds]
+    ran = {}
+    for line in log.read_text(encoding="utf-8").splitlines():
+        pid, seed = map(int, line.split())
+        ran.setdefault(pid, []).append(seed)
+    assert ran.pop(os.getpid()) == caller_ran
+    assert list(ran.values()) == [worker_ran]
+    assert multiprocessing.active_children() == []
+
+
+@_FORK_ONLY
 def test_worker_exception_reaches_the_caller(monkeypatch):
     _patch_seeds(monkeypatch, {2: _raise(ValueError("seed 2 broke"))})
     with pytest.raises(ValueError, match="^seed 2 broke$"):
         run_experiment(small_config(seeds=[1, 2, 3], episodes=2), jobs=2)
     assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_stopped_between_polls_is_reported_by_its_message():
+    # a worker can stop after the caller's last look at its pipe and before
+    # the caller hands it another index: the send fails, the read says why
+    conn, worker_end = multiprocessing.Pipe()
+    worker_end.send(ValueError("seed 2 broke"))
+    worker_end.close()
+    rbed.runner._hand(conn, 5)
+    with pytest.raises(ValueError, match="^seed 2 broke$"):
+        rbed.runner._receive(1, None, conn)
+    conn.close()
 
 
 @_FORK_ONLY
@@ -559,9 +607,9 @@ def test_dead_worker_ends_the_command_with_an_error(monkeypatch, tmp_path, capsy
 
 @_FORK_ONLY
 @pytest.mark.parametrize("exc", [RuntimeError("parent broke"), KeyboardInterrupt()], ids=["error", "interrupt"])
-def test_parent_share_error_stops_the_started_workers(monkeypatch, started_processes, exc):
+def test_caller_error_stops_the_started_workers(monkeypatch, started_processes, exc):
     # the worker's seed would sleep far past the test unless it is terminated
-    _patch_seeds(monkeypatch, {1: _raise(exc), 2: lambda: time.sleep(60)})
+    _patch_seeds(monkeypatch, {3: _raise(exc), 1: lambda: time.sleep(60)})
     begin = time.monotonic()
     with pytest.raises(type(exc)):
         run_experiment(small_config(seeds=[1, 2, 3], episodes=2), jobs=2)
@@ -1177,8 +1225,8 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
 
 
 def test_spawned_workers_give_the_serial_bytes(tmp_path):
-    # spawn (macOS's default; forkserver, Linux's from Python 3.14, also
-    # pickles each share) re-imports rbed in each worker and unpickles its share
+    # spawn (macOS's default; forkserver, Linux's from Python 3.14, does the
+    # same) re-imports rbed in each worker and unpickles the task list there
     write_config(tmp_path, "a.json", SMALL)
     write_config(tmp_path, "b.json", {**SMALL, "scheduler": {"kind": "exponential"}})
     argv = ["compare", "--config-a", "a.json", "--config-b", "b.json", "--seeds", "1..3"]
