@@ -272,8 +272,8 @@ def _cartpole_episode(
     the low bit of one draw, which equals ``Rng.next_int_below(2)``. Every
     step pays reward 1.0, so the episode's reward is its step count.
 
-    Draws pop the generator's output list, ``rng._block``, bound once per
-    episode: the list is one object that holds the next output last and is
+    Draws pop the generator's output array, ``rng._block``, bound once per
+    episode: the array is one object that holds the next output last and is
     refilled in place only when empty, so popping it, and calling
     ``rng._refill`` when it is empty, gives the draws ``next_u64`` would.
     The explore test compares the raw draw with ``_explore_below(epsilon)``,

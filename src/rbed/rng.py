@@ -18,28 +18,32 @@ sits at stream position ``base + i * _LANE_STEPS``. The 64 spare bits above
 each word take the carries of ``* 5`` and ``* 9`` and the spill of the
 rotates, and ``_LANE_MASK`` clears them, so one big-int operation steps every
 lane. ``_LANE_STEPS`` steps give the next ``_LANE_STEPS * _LANES`` outputs;
-they are handed out lane by lane, so in stream order. Before the next round
-every lane jumps ahead ``(_LANES - 1) * _LANE_STEPS`` steps, over the
-positions the other lanes made. The first refill builds the lanes from the
-seed state by doubling: jump every lane built so far by as many lanes and
-place the results above them.
+they are handed out lane by lane, so in stream order. The next round starts
+each lane ``_LANES * _LANE_STEPS`` positions on, at q(T) s for its start
+state s and q = x^(_LANES * _LANE_STEPS) mod p. q has degree below 256 and a
+round visits T^0 s .. T^(_LANE_STEPS - 1) s, so the round XORs up the states
+where q has a 1 as it steps, and that sum is the next round's start: no
+separate jump. The first refill builds the lanes from the seed state by
+doubling: jump every lane built so far by as many lanes and place the
+results above them.
 
 Every output is the value the one-at-a-time generator gives at the same
 position; only when it is computed changes. The polynomials are derived on
 the first refill (Berlekamp-Massey over 512 bits of the state sequence), not
 at import.
 
-The outputs not yet handed out wait in one list, ``Rng._block``, with the
-next output last. It is the same list object for the generator's whole life,
-and ``_refill`` fills it in place only when it is empty. So a hot loop may
-bind the list and its ``pop`` once, pop the stream in order, and call
-``_refill`` itself whenever the list is empty; it draws exactly what
-``next_u64`` would have.
+The outputs not yet handed out wait in one ``array("Q")``, ``Rng._block``,
+as packed 64-bit words with the next output last. It is the same array
+object for the generator's whole life, and ``_refill`` fills it in place only
+when it is empty. So a hot loop may bind the array and its ``pop`` once, pop
+the stream in order, and call ``_refill`` itself whenever the array is empty;
+it draws exactly what ``next_u64`` would have.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
 from functools import cache
 
 _MASK64 = (1 << 64) - 1
@@ -139,6 +143,14 @@ def _x_pow(n: int) -> int:
     return r
 
 
+@cache
+def _fold_steps() -> tuple[bool, ...]:
+    """Bit k of x^(_LANES * _LANE_STEPS) mod p, for k in range(_LANE_STEPS):
+    the steps of a round whose states sum to the next round's start."""
+    q = _x_pow(_LANES * _LANE_STEPS)
+    return tuple(bool(q >> k & 1) for k in range(_LANE_STEPS))
+
+
 class Rng:
     """xoshiro256** generator owned by exactly one run.
 
@@ -146,9 +158,9 @@ class Rng:
     draw, random action, tie-break) pulls from one instance in a fixed
     call order, so a seed fully determines the run.
 
-    ``_block`` is one list for the generator's life: it holds the outputs
-    not yet handed out, the next one last, and ``_refill`` refills it in
-    place only when it is empty. ``agent._cartpole_episode`` pops it
+    ``_block`` is one ``array("Q")`` for the generator's life: it holds the
+    outputs not yet handed out, the next one last, and ``_refill`` refills
+    it in place only when it is empty. ``agent._cartpole_episode`` pops it
     directly; every other caller draws through the methods below.
     """
 
@@ -163,16 +175,13 @@ class Rng:
         state, self._s2 = _splitmix64(state)
         state, self._s3 = _splitmix64(state)
         self._lanes = 1  # lanes the state holds: 1 until the first refill
-        self._block: list[int] = []  # outputs not yet handed out, the next one last
+        self._block = array("Q")  # outputs not yet handed out, the next one last
 
     def _refill(self) -> None:
         """Make the next ``_LANE_STEPS * _LANES`` outputs, all lanes at once,
-        into the empty ``_block``."""
+        into the empty ``_block``, and leave every lane at its next round's start."""
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        if self._lanes == _LANES:
-            # each lane moves past the positions the other lanes made
-            s0, s1, s2, s3 = _jump(s0, s1, s2, s3, _x_pow((_LANES - 1) * _LANE_STEPS))
-        else:
+        if self._lanes < _LANES:
             lanes = 1
             while lanes < _LANES:
                 shift = 128 * lanes
@@ -184,11 +193,18 @@ class Rng:
                 lanes *= 2
             self._lanes = lanes
         mask = _LANE_MASK
-        outs = []
-        out = outs.append
-        for _ in range(_LANE_STEPS):
+        size, order = 16 * _LANES, sys.byteorder
+        words = array("Q")  # the round's outputs, step by step
+        put = words.frombytes
+        a0 = a1 = a2 = a3 = 0  # the next round's start, summed as the round steps
+        for fold in _fold_steps():
+            if fold:
+                a0 ^= s0
+                a1 ^= s1
+                a2 ^= s2
+                a3 ^= s3
             tmp = (s1 * 5) & mask
-            out((((tmp << 7) | (tmp >> 57)) & mask) * 9)
+            put(((((tmp << 7) | (tmp >> 57)) & mask) * 9).to_bytes(size, order))
             t = (s1 << 17) & mask
             s2 ^= s0
             s3 ^= s1
@@ -196,14 +212,13 @@ class Rng:
             s0 ^= s3
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & mask
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        # each output carries every lane's word in the low half of its slot
-        size, order = 16 * _LANES, sys.byteorder
-        words = memoryview(b"".join([o.to_bytes(size, order) for o in outs])).cast("Q")
+        self._s0, self._s1, self._s2, self._s3 = a0, a1, a2, a3
+        # each output carries every lane's word in the low half of its slot;
+        # the last lane's last output goes in first, so the next one ends up last
+        last = len(words) - 2 * _LANES  # the last step's first word
         block = self._block  # empty: filled in place, never rebound
-        for w in _LANE_WORDS:
-            block += words[w :: 2 * _LANES].tolist()
-        block.reverse()
+        for w in reversed(_LANE_WORDS):
+            block += words[last + w :: -2 * _LANES]
 
     def next_u64(self) -> int:
         """Next raw 64-bit output."""

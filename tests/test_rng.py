@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+import rbed.rng
 from rbed.rng import (
     _LANE_STEPS,
     _LANES,
@@ -137,11 +138,16 @@ def test_stream_equals_one_at_a_time_reference(seed):
 def test_characteristic_polynomial_annihilates_the_state():
     p = _char_poly()
     assert p.bit_length() - 1 == 256
+    # a refill folds its lanes' next start from its own steps, so one round
+    # must visit every power of T below deg p
+    assert _LANE_STEPS >= 256
     for seed in (0, 1, 42):
         assert _jump(*reference_state(seed), p, _MASK64) == (0, 0, 0, 0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 1000, (_LANES - 1) * _LANE_STEPS])
+@pytest.mark.parametrize(
+    "n", [1, 2, 255, 256, 257, 1000, (_LANES - 1) * _LANE_STEPS, _LANES * _LANE_STEPS]
+)
 def test_jump_equals_single_steps(n):
     state = reference_state(7)
     stepped = state
@@ -161,8 +167,9 @@ def test_mixed_draws_across_a_refill():
 
 
 def test_pop_bound_before_a_refill_keeps_the_stream():
-    # _refill fills the one list in place, so a pop bound before the first
-    # refill hands out the stream in order, as the fused cart-pole loop needs
+    # _refill fills the one array in place, so a pop bound before the first
+    # refill hands out the stream in order, as the fused cart-pole loop needs;
+    # each refill stores one round as packed 64-bit words
     rng, twin = Rng(9), Rng(9)
     block = rng._block
     pop = block.pop
@@ -171,10 +178,26 @@ def test_pop_bound_before_a_refill_keeps_the_stream():
     for _ in range(count):
         if not block:
             rng._refill()
+            assert len(block) == ROUND and block.itemsize == 8
         got.append(pop())
     assert rng._block is block
     assert got == [twin.next_u64() for _ in range(count)]
     assert rng.next_u64() == twin.next_u64()
+
+
+def test_refills_after_the_first_need_no_jump(monkeypatch):
+    # a round's own steps give the next round's start; only the first refill
+    # builds the lanes with _jump
+    expected = reference_stream(3, 3 * ROUND)
+    rng = Rng(3)
+    got = [rng.next_u64()]
+
+    def no_jump(*args, **kwargs):
+        raise AssertionError("a steady-state refill called _jump")
+
+    monkeypatch.setattr(rbed.rng, "_jump", no_jump)
+    got += [rng.next_u64() for _ in range(3 * ROUND - 1)]
+    assert got == expected
 
 
 def test_same_seed_same_stream():
