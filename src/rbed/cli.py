@@ -3,14 +3,16 @@
 A command imports the layers it runs, inside the command, and this module
 imports none at its top. Each process compiles and executes every module it
 imports, so ``rbed plot`` loads only the emitter, the metrics and the chart
-writer, and ``run`` and ``compare`` load no chart writer.
+writer (and no ``dataclasses``), and ``run`` and ``compare`` load no chart
+writer. ``run`` and ``compare`` import the emitter only once their seed-runs
+have returned: a worker process forked during the seed-runs then holds no
+copy of a module it never uses.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -40,6 +42,8 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def _apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
+    from dataclasses import replace  # loaded already: rbed.config uses it
+
     return replace(config, **overrides) if overrides else config
 
 
@@ -68,13 +72,14 @@ def _summarize_arm(arm: ArmReport) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .emit import emit_results
     from .metrics import solve_count
     from .runner import run_experiment, usable_cpus
 
     config = _apply_overrides(_load(args.config), _overrides(args))
     _warn_if_stalled(args.config or "the default config", config)
     results = run_experiment(config, jobs=args.jobs or usable_cpus())
+    from .emit import emit_results  # after the seed-runs: see the module docstring
+
     written = emit_results(results, args.out)
     print(f"ran {len(results)} seed(s) x {config.episodes} episodes ({config.scheduler.kind})")
     print(f"solved {solve_count(results)}/{len(results)}; wrote {len(written)} file(s) to {args.out}")
@@ -82,7 +87,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from .emit import emit_compare
     from .runner import compare, usable_cpus
 
     overrides = _overrides(args)
@@ -91,6 +95,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _warn_if_stalled(f"arm a ({args.config_a})", config_a)
     _warn_if_stalled(f"arm b ({args.config_b})", config_b)
     report = compare(config_a, config_b, jobs=args.jobs or usable_cpus())
+    from .emit import emit_compare  # after the seed-runs: see the module docstring
+
     emit_compare(report, args.out)
     print(_summarize_arm(report.a))
     print(_summarize_arm(report.b))

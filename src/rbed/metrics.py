@@ -1,18 +1,20 @@
 """Per-episode series analytics: rolling averages, the solved criterion, and
-cross-run aggregation. Episode indices are 1-based everywhere."""
+cross-run aggregation. Episode indices are 1-based everywhere.
+
+The records are ``NamedTuple``s, not dataclasses: ``rbed plot`` reads them
+and so never imports ``dataclasses`` (with ``inspect``, ``ast`` and
+``tokenize`` behind it), and a worker's results pickle smaller."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 SOLVED_THRESHOLD = 195.0
 SOLVED_WINDOW = 100
 
 
-@dataclass(frozen=True)
-class EpisodeRecord:
+class EpisodeRecord(NamedTuple):
     """Outcome of one episode: reward total, the epsilon in force, step count."""
 
     episode: int
@@ -21,8 +23,7 @@ class EpisodeRecord:
     steps: int
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """One seed's full episode series plus its solved episode, if any."""
 
     seed: int
@@ -30,8 +31,7 @@ class RunResult:
     solved_at: Optional[int]
 
 
-@dataclass(frozen=True)
-class AggregateCurves:
+class AggregateCurves(NamedTuple):
     """Pointwise means across runs.
 
     ``mean_rolling`` starts at episode ``window`` (no value is defined for a

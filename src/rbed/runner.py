@@ -98,11 +98,14 @@ def _run_tasks(configs: tuple[ExperimentConfig, ...], jobs: int) -> list[RunResu
     """Run every seed of each config in ``workers`` processes: at most ``jobs``,
     at most one per usable CPU and at most one per seed-run. The calling
     process is one of them. It starts the others and, between its own
-    seed-runs, hands each the index of the next seed-run of the
-    config-then-seed task list, so a faster process runs more of them. Each
-    started process sends its results in one message at the end. Results
-    follow config then seed order, so parallel output equals sequential
-    output."""
+    seed-runs, hands each the index of the next seed-run, so a faster
+    process runs more of them. The hand-out goes seed by seed, alternating
+    configs (each config's first seed, then each one's second, and so on;
+    a config whose seeds have run out drops out), so a started process
+    that takes two indices up front runs one of each arm, not two of the
+    arm whose episodes are shorter. Each started process sends its results
+    in one message at the end. Results follow config then seed order, so
+    parallel output equals sequential output."""
     tasks = [(config, seed) for config in configs for seed in config.seeds]
     workers = min(jobs, len(tasks), usable_cpus())
     if workers <= 1:
@@ -110,6 +113,9 @@ def _run_tasks(configs: tuple[ExperimentConfig, ...], jobs: int) -> list[RunResu
     # imported here: serial runs never load multiprocessing
     import multiprocessing
 
+    # task indices by seed position, configs in turn (the sort is stable)
+    position = [p for config in configs for p in range(len(config.seeds))]
+    order = sorted(range(len(tasks)), key=position.__getitem__)
     results = [None] * len(tasks)
     next_task = 0
     started = {}  # the caller's end of each worker's pipe: (k, process)
@@ -132,13 +138,13 @@ def _run_tasks(configs: tuple[ExperimentConfig, ...], jobs: int) -> list[RunResu
                     _receive(*worker, conn)  # the index of a seed-run it finished
                     held[conn] -= 1
                 while held[conn] < min(2, len(tasks) - next_task):
-                    _hand(conn, next_task)
+                    _hand(conn, order[next_task])
                     next_task += 1
                     held[conn] += 1
             if next_task == len(tasks):
                 break
-            config, seed = tasks[next_task]
-            results[next_task] = run_single_seed(config, seed)
+            i = order[next_task]
+            results[i] = run_single_seed(*tasks[i])
             next_task += 1
         for conn in started:
             _hand(conn, None)
@@ -231,8 +237,9 @@ def compare(
     kind_b = config_b.scheduler.kind
     label_a = kind_a if kind_a != kind_b else f"a:{kind_a}"
     label_b = kind_b if kind_a != kind_b else f"b:{kind_b}"
-    # one task list over both arms, handed out in order to whichever process
-    # is free, so no process idles while another runs the slower arm
+    # one task list over both arms, handed out seed by seed, alternating
+    # arms, to whichever process is free, so no process idles while another
+    # runs the slower arm; results come back arm a's seeds then arm b's
     runs = _run_tasks((config_a, config_b), jobs)
     n = len(config_a.seeds)
     arm_a = _arm_report(label_a, config_a, runs[:n])

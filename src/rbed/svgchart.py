@@ -8,8 +8,7 @@ formatting, no timestamps. Each data series renders as exactly one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 WIDTH = 860
 HEIGHT = 480
@@ -28,15 +27,22 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-@dataclass(frozen=True)
-class Series:
+class _SeriesFields(NamedTuple):
     label: str
     xs: Sequence[float]
     ys: Sequence[float]
 
-    def __post_init__(self) -> None:
-        if len(self.xs) != len(self.ys):
-            raise ValueError(f"series {self.label!r}: xs and ys lengths differ")
+
+class Series(_SeriesFields):
+    """One labelled line. A ``NamedTuple`` body cannot define ``__new__``,
+    so the length check lives in this subclass."""
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, xs: Sequence[float], ys: Sequence[float]) -> Series:
+        if len(xs) != len(ys):
+            raise ValueError(f"series {label!r}: xs and ys lengths differ")
+        return super().__new__(cls, label, xs, ys)
 
 
 def _nice_step(span: float) -> float:

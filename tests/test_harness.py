@@ -529,6 +529,28 @@ def _patch_seeds(monkeypatch, actions):
     monkeypatch.setattr(rbed.runner, "run_single_seed", patched)
 
 
+def _log_seed_runs(monkeypatch, log):
+    """Make rbed.runner.run_single_seed append ``pid kind:seed`` to ``log``,
+    in whichever process runs the seed-run, before it runs; returns a
+    function that reads the log as {pid: [kind:seed, ...]}."""
+    patched = rbed.runner.run_single_seed
+
+    def logged(config, seed):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()} {config.scheduler.kind}:{seed}\n")
+        return patched(config, seed)
+
+    def ran():
+        by_process = {}
+        for line in log.read_text(encoding="utf-8").splitlines():
+            pid, task = line.split()
+            by_process.setdefault(int(pid), []).append(task)
+        return by_process
+
+    monkeypatch.setattr(rbed.runner, "run_single_seed", logged)
+    return ran
+
+
 def _raise(exc):
     def action():
         raise exc
@@ -549,24 +571,30 @@ def _raise(exc):
     ids=["slow_worker", "last_to_the_free_process"],
 )
 def test_seed_runs_go_to_the_free_process(monkeypatch, tmp_path, seeds, sleeps, caller_ran, worker_ran):
-    log = tmp_path / "ran"
     _patch_seeds(monkeypatch, {seed: functools.partial(time.sleep, s) for seed, s in sleeps.items()})
-    patched = rbed.runner.run_single_seed
-
-    def logged(config, seed):
-        with open(log, "a", encoding="utf-8") as f:
-            f.write(f"{os.getpid()} {seed}\n")
-        return patched(config, seed)
-
-    monkeypatch.setattr(rbed.runner, "run_single_seed", logged)
+    read_log = _log_seed_runs(monkeypatch, tmp_path / "ran")
     config = small_config(seeds=seeds, episodes=2)
     assert run_experiment(config, jobs=2) == [run_single_seed(config, seed) for seed in seeds]
-    ran = {}
-    for line in log.read_text(encoding="utf-8").splitlines():
-        pid, seed = map(int, line.split())
-        ran.setdefault(pid, []).append(seed)
-    assert ran.pop(os.getpid()) == caller_ran
-    assert list(ran.values()) == [worker_ran]
+    ran = read_log()
+    assert ran.pop(os.getpid()) == [f"rbed:{seed}" for seed in caller_ran]
+    assert list(ran.values()) == [[f"rbed:{seed}" for seed in worker_ran]]
+    assert multiprocessing.active_children() == []
+
+
+@_FORK_ONLY
+def test_pooled_compare_hands_out_the_arms_in_turn(monkeypatch, tmp_path):
+    # the started worker takes two indices up front: arm a's first seed-run
+    # and arm b's, not both of arm a's; the sleep keeps it busy until the
+    # caller has run the rest
+    config_a = small_config(seeds=[1, 2], episodes=3)
+    config_b = small_config(seeds=[1, 2], episodes=3, scheduler={"kind": "exponential"})
+    serial = compare(config_a, config_b, jobs=1)
+    _patch_seeds(monkeypatch, {1: functools.partial(time.sleep, 0.3)})
+    read_log = _log_seed_runs(monkeypatch, tmp_path / "ran")
+    assert compare(config_a, config_b, jobs=2) == serial
+    ran = read_log()
+    assert ran.pop(os.getpid()) == ["rbed:2", "exponential:2"]
+    assert list(ran.values()) == [["rbed:1", "exponential:1"]]
     assert multiprocessing.active_children() == []
 
 
@@ -1218,10 +1246,37 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     plot = ["rbed", "rbed.cli", "rbed.emit", "rbed.metrics", "rbed.svgchart"]
     assert _rbed(loaded["plot a run"]) == plot
     assert _rbed(loaded["plot a compare"]) == plot
+    # the records are NamedTuples: a plot loads no dataclasses, nor the
+    # inspect that dataclasses imports
+    for name in ("dataclasses", "inspect"):
+        assert name not in loaded["plot a run"]
+        assert name not in loaded["plot a compare"]
     assert [_unused(modules) for modules in loaded.values()] == [[]] * len(commands)
     assert "multiprocessing" in pooled
     assert [name for name in _unused(pooled) if name.split(".")[0] not in ("multiprocessing", "socket")] == []
     assert sorted(p.name for p in (tmp_path / "cmp" / "figs").iterdir()) == sorted(FIGURE_NAMES)
+
+
+def test_a_started_worker_is_forked_before_the_emitter_loads(tmp_path):
+    # compare imports rbed.emit once its seed-runs return, so a worker
+    # holds no copy of a module it never runs
+    write_config(tmp_path, "a.json", SMALL)
+    write_config(tmp_path, "b.json", {**SMALL, "scheduler": {"kind": "exponential"}})
+    argv = ["compare", "--config-a", "a.json", "--config-b", "b.json", "--out", "pooled", "--jobs", "2"]
+    code = (
+        "import multiprocessing, sys\n"
+        "import rbed.runner\n"
+        "rbed.runner.usable_cpus = lambda: 2\n"
+        "emit_at_start = []\n"
+        "real_start = multiprocessing.Process.start\n"
+        "multiprocessing.Process.start = lambda p: (emit_at_start.append('rbed.emit' in sys.modules), real_start(p))[1]\n"
+        "from rbed.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "assert emit_at_start == [False], emit_at_start\n"
+        "assert 'rbed.emit' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_spawned_workers_give_the_serial_bytes(tmp_path):

@@ -1,5 +1,6 @@
 """Rolling means, the solved rule, and cross-run aggregation."""
 
+import pickle
 import random
 
 import pytest
@@ -214,3 +215,19 @@ def test_aggregate_validation():
 def test_aggregate_curves_is_plain_data():
     agg = AggregateCurves(mean_reward=(1.0,), mean_rolling=(), mean_epsilon=(0.5,))
     assert agg.window == SOLVED_WINDOW
+
+
+def test_records_pickle_without_field_names_and_are_read_only():
+    # a started worker sends its RunResults to the caller pickled: the
+    # message carries each record's values, not its field names
+    run = run_of(7, [10.0, 200.0, 30.0])
+    message = pickle.dumps(run)
+    assert pickle.loads(message) == run
+    assert b"total_reward" not in message
+    with pytest.raises(AttributeError):
+        run.seed = 8
+    with pytest.raises(AttributeError):
+        run.records[0].total_reward = 0.0
+    curves = aggregate_runs([run], window=2)
+    with pytest.raises(AttributeError):
+        curves.window = 3
