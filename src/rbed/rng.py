@@ -10,27 +10,25 @@ transition T is linear over GF(2), so the state at stream position ``base + n``
 is T^n applied to the state at ``base``, and T^n equals q(T) for
 q = x^n mod p, where p is T's degree-256 characteristic polynomial. Applying
 q(T) -- step the state 256 times and XOR up the states where q has a 1 -- is
-the generator's standard jump-ahead.
+the generator's standard jump-ahead. The generator only ever jumps by
+256 * 2**j positions, j = 0..5, so it needs six fixed q; like the reference
+implementation's ``JUMP`` constants, they are literals (``_JUMPS``), computed
+once offline and checked by the tests against single steps.
 
-Each refill holds ``_LANES`` copies of the generator in one set of four Python
-ints: lane i is a 64-bit word in the low half of the i-th 128-bit slot, and
-sits at stream position ``base + i * _LANE_STEPS``. The 64 spare bits above
-each word take the carries of ``* 5`` and ``* 9`` and the spill of the
+Each generator holds ``_LANES`` copies of xoshiro256** in one set of four
+Python ints: lane i is a 64-bit word in the low half of the i-th 128-bit slot,
+and sits at stream position ``base + i * _LANE_STEPS``. The 64 spare bits
+above each word take the carries of ``* 5`` and ``* 9`` and the spill of the
 rotates, and ``_LANE_MASK`` clears them, so one big-int operation steps every
-lane. ``_LANE_STEPS`` steps give the next ``_LANE_STEPS * _LANES`` outputs;
-they are handed out lane by lane, so in stream order. The next round starts
-each lane ``_LANES * _LANE_STEPS`` positions on, at q(T) s for its start
-state s and q = x^(_LANES * _LANE_STEPS) mod p. q has degree below 256 and a
-round visits T^0 s .. T^(_LANE_STEPS - 1) s, so the round XORs up the states
-where q has a 1 as it steps, and that sum is the next round's start: no
-separate jump. The first refill builds the lanes from the seed state by
-doubling: jump every lane built so far by as many lanes and place the
-results above them.
-
-Every output is the value the one-at-a-time generator gives at the same
-position; only when it is computed changes. The polynomials are derived on
-the first refill (Berlekamp-Massey over 512 bits of the state sequence), not
-at import.
+lane. ``Rng(seed)`` builds the lanes from the seed state by doubling: it moves
+every lane built so far on by as many lanes and places the results above
+them. A refill's ``_LANE_STEPS`` steps give the next ``_LANE_STEPS * _LANES``
+outputs, handed out lane by lane, so in stream order. The same steps visit
+T^0 s .. T^(_LANE_STEPS - 1) s of each lane's start s, so XORing up those
+where x^(_LANES * _LANE_STEPS) mod p has a 1 gives the next round's start:
+one loop, ``_round``, both jumps and makes outputs. Every output is the value
+the one-at-a-time generator gives at the same position; only when it is
+computed changes.
 
 The outputs not yet handed out wait in one ``array("Q")``, ``Rng._block``,
 as packed 64-bit words with the next output last. It is the same array
@@ -44,7 +42,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import cache
+from typing import Callable, Optional
 
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 1.0 / (1 << 53)
@@ -66,20 +64,39 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def _jump(
-    s0: int, s1: int, s2: int, s3: int, poly: int, mask: int = _LANE_MASK
+# x^(256 * 2**j) mod p for j = 0..5, where p is the degree-256 characteristic
+# polynomial of xoshiro256**'s state transition T (bit k is the coefficient of
+# x^k): applied by ``_round``, entry j moves a lane 256 * 2**j steps on. The
+# first five double the lanes in ``Rng.__init__``; the last moves every lane
+# one round on. tests/test_rng.py checks each against single steps.
+_JUMPS = (
+    0x0003C03C3F3ECB1904B4EDCF26259F850280002BCEFD1A5E9D116F2BB0F0F001,
+    0xBE7976372E9304356DD49B656055C9DA81F675E7A4EF7D84C7327D130E34B489,
+    0x65507439CF43F0E28456FAEB6230D9841BE1D76854DDDA93060106BBBE4FF028,
+    0x51EDEF31819E01FF3C8CA36EC9A74FA715FE822628B16F04876C2301125A85C0,
+    0x0F41CCE3698FAD39AA6EB691CBF9CE10D638D47EC5BCF595D7F4E8DA7E228B85,
+    0xDA66E09E52B341D132104B94FE2534D3B1DF898A4A6F1548669DA12373880674,
+)
+
+
+def _round(
+    s0: int, s1: int, s2: int, s3: int, poly: int, put: Optional[Callable[[bytes], object]] = None
 ) -> tuple[int, int, int, int]:
-    """Apply poly(T) to every lane of a state: T^n when poly = x^n mod p."""
+    """Step every lane ``_LANE_STEPS`` times and return poly(T) of the start:
+    the sum of the visited states T^k s where bit k of poly is 1. With ``put``,
+    also pass each step's outputs to it, every lane's word packed in its slot."""
+    mask = _LANE_MASK
+    size, order = 16 * _LANES, sys.byteorder
     a0 = a1 = a2 = a3 = 0
-    while True:
-        if poly & 1:
+    for bit in format(poly, f"0{_LANE_STEPS}b")[::-1]:
+        if bit == "1":
             a0 ^= s0
             a1 ^= s1
             a2 ^= s2
             a3 ^= s3
-        poly >>= 1
-        if not poly:
-            return a0, a1, a2, a3
+        if put is not None:
+            tmp = (s1 * 5) & mask
+            put(((((tmp << 7) | (tmp >> 57)) & mask) * 9).to_bytes(size, order))
         t = (s1 << 17) & mask
         s2 ^= s0
         s3 ^= s1
@@ -87,68 +104,7 @@ def _jump(
         s0 ^= s3
         s2 ^= t
         s3 = ((s3 << 45) | (s3 >> 19)) & mask
-
-
-@cache
-def _char_poly() -> int:
-    """T's characteristic polynomial (bit k is the coefficient of x^k).
-
-    Berlekamp-Massey over 512 bits of one state bit's sequence gives its
-    minimal polynomial; it has degree 256 because T's characteristic
-    polynomial is primitive (the period is 2**256 - 1).
-    """
-    state = (1, 2, 3, 4)  # any nonzero state
-    window = 0  # the bits so far, the newest at bit 0
-    conn = prev = 1
-    length, gap = 0, 1
-    for n in range(512):
-        window = (window << 1) | (state[0] & 1)
-        state = _jump(*state, 2, _MASK64)
-        if not (conn & window).bit_count() & 1:
-            gap += 1
-            continue
-        last = conn
-        conn ^= prev << gap
-        if 2 * length <= n:
-            length, prev, gap = n + 1 - length, last, 1
-        else:
-            gap += 1
-    # the recurrence's connection polynomial, reversed, is the characteristic one
-    return int(format(conn, f"0{length + 1}b")[::-1], 2)
-
-
-def _mulmod(a: int, b: int, p: int) -> int:
-    """a * b mod p over GF(2)."""
-    top = 1 << (p.bit_length() - 1)
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a & top:
-            a ^= p
-    return r
-
-
-@cache
-def _x_pow(n: int) -> int:
-    """x^n mod p, by square-and-multiply."""
-    p = _char_poly()
-    r = 1
-    for bit in format(n, "b"):
-        r = _mulmod(r, r, p)
-        if bit == "1":
-            r = _mulmod(r, 2, p)
-    return r
-
-
-@cache
-def _fold_steps() -> tuple[bool, ...]:
-    """Bit k of x^(_LANES * _LANE_STEPS) mod p, for k in range(_LANE_STEPS):
-    the steps of a round whose states sum to the next round's start."""
-    q = _x_pow(_LANES * _LANE_STEPS)
-    return tuple(bool(q >> k & 1) for k in range(_LANE_STEPS))
+    return a0, a1, a2, a3
 
 
 class Rng:
@@ -164,55 +120,34 @@ class Rng:
     directly; every other caller draws through the methods below.
     """
 
-    __slots__ = ("_s0", "_s1", "_s2", "_s3", "_lanes", "_block")
+    __slots__ = ("_s0", "_s1", "_s2", "_s3", "_block")
 
     def __init__(self, seed: int) -> None:
         if not 0 <= seed <= _MASK64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        state = seed
-        state, self._s0 = _splitmix64(state)
-        state, self._s1 = _splitmix64(state)
-        state, self._s2 = _splitmix64(state)
-        state, self._s3 = _splitmix64(state)
-        self._lanes = 1  # lanes the state holds: 1 until the first refill
+        state, s0 = _splitmix64(seed)
+        state, s1 = _splitmix64(state)
+        state, s2 = _splitmix64(state)
+        state, s3 = _splitmix64(state)
+        # double the lanes: move every lane built so far on by as many lanes
+        # and place the results above them
+        for j, poly in enumerate(_JUMPS[:-1]):
+            shift = 128 << j
+            j0, j1, j2, j3 = _round(s0, s1, s2, s3, poly)
+            s0 |= j0 << shift
+            s1 |= j1 << shift
+            s2 |= j2 << shift
+            s3 |= j3 << shift
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         self._block = array("Q")  # outputs not yet handed out, the next one last
 
     def _refill(self) -> None:
         """Make the next ``_LANE_STEPS * _LANES`` outputs, all lanes at once,
         into the empty ``_block``, and leave every lane at its next round's start."""
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        if self._lanes < _LANES:
-            lanes = 1
-            while lanes < _LANES:
-                shift = 128 * lanes
-                j0, j1, j2, j3 = _jump(s0, s1, s2, s3, _x_pow(lanes * _LANE_STEPS))
-                s0 |= j0 << shift
-                s1 |= j1 << shift
-                s2 |= j2 << shift
-                s3 |= j3 << shift
-                lanes *= 2
-            self._lanes = lanes
-        mask = _LANE_MASK
-        size, order = 16 * _LANES, sys.byteorder
         words = array("Q")  # the round's outputs, step by step
-        put = words.frombytes
-        a0 = a1 = a2 = a3 = 0  # the next round's start, summed as the round steps
-        for fold in _fold_steps():
-            if fold:
-                a0 ^= s0
-                a1 ^= s1
-                a2 ^= s2
-                a3 ^= s3
-            tmp = (s1 * 5) & mask
-            put(((((tmp << 7) | (tmp >> 57)) & mask) * 9).to_bytes(size, order))
-            t = (s1 << 17) & mask
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & mask
-        self._s0, self._s1, self._s2, self._s3 = a0, a1, a2, a3
+        self._s0, self._s1, self._s2, self._s3 = _round(
+            self._s0, self._s1, self._s2, self._s3, _JUMPS[-1], words.frombytes
+        )
         # each output carries every lane's word in the low half of its slot;
         # the last lane's last output goes in first, so the next one ends up last
         last = len(words) - 2 * _LANES  # the last step's first word

@@ -89,6 +89,8 @@ def line_chart(
         raise ValueError("line_chart needs at least one series")
     if all(len(s.xs) == 0 for s in series):
         raise ValueError("line_chart needs at least one data point")
+    if not all(math.isfinite(v) for s in series for v in s.ys):
+        raise ValueError("line_chart needs finite y values")
 
     x_lo = min(min(s.xs) for s in series if s.xs)
     x_hi = max(max(s.xs) for s in series if s.xs)
@@ -102,6 +104,8 @@ def line_chart(
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
     pad = 0.04 * (y_hi - y_lo)
+    if not math.isfinite((y_hi + pad) - (y_lo - pad)):
+        raise ValueError(f"line_chart cannot chart y from {y_lo:g} to {y_hi:g}: the padded span overflows")
     y_lo -= pad
     y_hi += pad
 

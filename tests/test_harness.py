@@ -954,6 +954,11 @@ def test_line_chart_validation():
         line_chart("t", "x", "y", series=[])
     with pytest.raises(ValueError):
         line_chart("t", "x", "y", series=[Series("empty", [], [])])
+    with pytest.raises(ValueError, match="finite"):
+        line_chart("t", "x", "y", series=[Series("nan", [1.0, 2.0], [1.0, math.nan])])
+    # finite, but the padding takes the y-span past the largest float
+    with pytest.raises(ValueError, match="overflows"):
+        line_chart("t", "x", "y", series=[Series("huge", [1.0], [1.7e308])])
 
 
 def test_line_chart_deterministic():
@@ -1166,6 +1171,12 @@ def test_cli_plot_missing_inputs_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_plot_huge_value_exits_1(tmp_path, capsys):
+    (tmp_path / "aggregate.csv").write_text(f"{AGGREGATE_HEADER}\n1,1.7e308,,1.0\n", encoding="utf-8")
+    assert main(["plot", "--in", str(tmp_path), "--out", str(tmp_path / "figs")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_public_api_surface():
     import rbed
 
@@ -1252,6 +1263,11 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         assert name not in loaded["plot a run"]
         assert name not in loaded["plot a compare"]
     assert [_unused(modules) for modules in loaded.values()] == [[]] * len(commands)
+    # stdlib only: every module a command loads is rbed's or the standard
+    # library's (__mp_main__ is the alias multiprocessing gives __main__)
+    for modules in [*loaded.values(), pooled]:
+        top = {name.split(".")[0] for name in modules} - {"rbed", "__mp_main__"}
+        assert sorted(top - sys.stdlib_module_names) == []
     assert "multiprocessing" in pooled
     assert [name for name in _unused(pooled) if name.split(".")[0] not in ("multiprocessing", "socket")] == []
     assert sorted(p.name for p in (tmp_path / "cmp" / "figs").iterdir()) == sorted(FIGURE_NAMES)

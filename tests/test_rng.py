@@ -7,16 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import rbed.rng
-from rbed.rng import (
-    _LANE_STEPS,
-    _LANES,
-    _MASK64,
-    Rng,
-    _char_poly,
-    _jump,
-    _splitmix64,
-    _x_pow,
-)
+from rbed.rng import _JUMPS, _LANE_STEPS, _LANES, _MASK64, Rng, _round, _splitmix64
 
 ROUND = _LANE_STEPS * _LANES  # outputs made per refill
 
@@ -135,25 +126,33 @@ def test_stream_equals_one_at_a_time_reference(seed):
     assert [rng.next_u64() for _ in range(count)] == reference_stream(seed, count)
 
 
-def test_characteristic_polynomial_annihilates_the_state():
-    p = _char_poly()
-    assert p.bit_length() - 1 == 256
-    # a refill folds its lanes' next start from its own steps, so one round
-    # must visit every power of T below deg p
-    assert _LANE_STEPS >= 256
-    for seed in (0, 1, 42):
-        assert _jump(*reference_state(seed), p, _MASK64) == (0, 0, 0, 0)
+def stepped(state, n):
+    for _ in range(n):
+        state = reference_step(*state)
+    return state
+
+
+@pytest.mark.parametrize("j", range(len(_JUMPS)))
+def test_each_jump_equals_single_steps(j):
+    # a round visits T^0 s .. T^(_LANE_STEPS - 1) s, so it can apply each jump
+    assert _JUMPS[j].bit_length() <= _LANE_STEPS
+    state = reference_state(7)
+    assert _round(*state, _JUMPS[j]) == stepped(state, _LANE_STEPS << j)
 
 
 @pytest.mark.parametrize(
     "n", [1, 2, 255, 256, 257, 1000, (_LANES - 1) * _LANE_STEPS, _LANES * _LANE_STEPS]
 )
 def test_jump_equals_single_steps(n):
+    # any distance is a short x^r (r < 256) followed by the jumps of n's
+    # higher bits, so the constants compose as powers of T do
+    assert n < _LANE_STEPS << len(_JUMPS)
     state = reference_state(7)
-    stepped = state
-    for _ in range(n):
-        stepped = reference_step(*stepped)
-    assert _jump(*state, _x_pow(n), _MASK64) == stepped
+    jumped = _round(*state, 1 << (n % _LANE_STEPS))
+    for j, poly in enumerate(_JUMPS):
+        if (n // _LANE_STEPS) >> j & 1:
+            jumped = _round(*jumped, poly)
+    assert jumped == stepped(state, n)
 
 
 def test_mixed_draws_across_a_refill():
@@ -186,17 +185,20 @@ def test_pop_bound_before_a_refill_keeps_the_stream():
 
 
 def test_refills_after_the_first_need_no_jump(monkeypatch):
-    # a round's own steps give the next round's start; only the first refill
-    # builds the lanes with _jump
+    # Rng(seed) builds the lanes; after that, a round's own steps give the
+    # next round's start, so each refill runs exactly one _round
     expected = reference_stream(3, 3 * ROUND)
     rng = Rng(3)
     got = [rng.next_u64()]
+    rounds = []
 
-    def no_jump(*args, **kwargs):
-        raise AssertionError("a steady-state refill called _jump")
+    def counted(*args):
+        rounds.append(args[4])
+        return _round(*args)
 
-    monkeypatch.setattr(rbed.rng, "_jump", no_jump)
+    monkeypatch.setattr(rbed.rng, "_round", counted)
     got += [rng.next_u64() for _ in range(3 * ROUND - 1)]
+    assert rounds == [_JUMPS[-1]] * 2
     assert got == expected
 
 
