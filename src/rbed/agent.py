@@ -89,43 +89,37 @@ class Discretizer:
 
     Dimension i lands in cell ``bucket(state[i], clips[i], buckets[i])``; the
     four cells combine in mixed radix, so the flat index is bijective with
-    the bucket tuple. A dimension with a single bucket always contributes 0,
-    so ``index`` reads only the live ones.
+    the bucket tuple.
 
-    ``index`` does not evaluate ``bucket``: for each live dimension it keeps
-    the edges from ``_edges``, the least double at which ``bucket`` reaches
-    each of 1..count-1, and counts the edges at or below the value with
-    ``bisect_right``. That count equals ``bucket`` for every non-NaN double,
-    because ``bucket`` never decreases as the value grows (each of its
-    roundings is monotone), so ``bucket(v) >= k`` exactly when ``v`` is at
-    or above edge k. The edges are found by bisection over values inside a
-    checked bracket, once per (clip, count) in a process.
+    ``index`` does not evaluate ``bucket``: for each dimension, ``edges``
+    holds the least double at which ``bucket`` reaches each of 1..count-1
+    (none for one bucket), from ``_edges``, and ``index`` counts the edges at
+    or below the value with ``bisect_right``. That count equals ``bucket``
+    for every non-NaN double, because ``bucket`` never decreases as the
+    value grows (each of its roundings is monotone), so ``bucket(v) >= k``
+    exactly when ``v`` is at or above edge k.
     """
 
     buckets: tuple[int, int, int, int]
     clips: tuple[float, float, float, float]
-    # (dimension, edges, mixed-radix stride) per live dimension
-    _live: tuple = field(init=False, repr=False, compare=False)
+    # per dimension: the cell edges, and the cell's mixed-radix stride
+    edges: tuple = field(init=False, repr=False, compare=False)
+    strides: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        live = tuple(
-            (i, _edges(self.clips[i], self.buckets[i]), math.prod(self.buckets[i + 1 :]))
-            for i in range(4)
-            if self.buckets[i] > 1
-        )
-        object.__setattr__(self, "_live", live)
+        object.__setattr__(self, "edges", tuple(map(_edges, self.clips, self.buckets)))
+        object.__setattr__(self, "strides", tuple(math.prod(self.buckets[i + 1 :]) for i in range(4)))
 
     @property
     def n_states(self) -> int:
         return math.prod(self.buckets)
 
     def index(self, state: Sequence[float]) -> int:
-        """The flat index of ``state``. ``run_episode``'s cart-pole loop sums
-        the same counts over ``_live`` on its own locals for every step; it
-        calls this only for the reset state."""
+        """The flat index of ``state``; ``_cartpole_episode`` calls this for its
+        reset state and sums the same counts on its own locals after that."""
         idx = 0
-        for i, edges, stride in self._live:
-            idx += bisect_right(edges, state[i]) * stride
+        for edges, stride, value in zip(self.edges, self.strides, state):
+            idx += bisect_right(edges, value) * stride
         return idx
 
 
@@ -234,22 +228,6 @@ def reference_episode(
     return EpisodeRecord(episode=episode, total_reward=total, epsilon=epsilon, steps=steps)
 
 
-def _explore_below(epsilon: float) -> int:
-    """The bound with ``u < bound`` exactly when ``(u >> 11) * 2**-53 <
-    epsilon``, for every 64-bit ``u`` and every double ``epsilon``.
-
-    ``m = u >> 11`` is an integer below 2**53, so ``m * 2**-53`` is exact and
-    the test is ``m < epsilon * 2**53`` over the reals; the product is exact
-    too, as scaling by a power of two is. An integer is below a real exactly
-    when it is below the real's ceiling, and ``m < c`` exactly when
-    ``u < c << 11``. The bound is 0 when nothing explores (epsilon at most 0,
-    or NaN) and 2**64 when everything does (epsilon at least 1).
-    """
-    if not epsilon > 0.0:
-        return 0
-    return math.ceil(min(epsilon, 1.0) * (1 << 53)) << 11
-
-
 def _cartpole_episode(
     discretizer: Discretizer,
     q: QTable,
@@ -266,45 +244,30 @@ def _cartpole_episode(
     ``Discretizer.index`` and ``q_update`` do, in the same order, on the
     same draws and with the same float operations: the accelerations are
     grouped as in ``envs.accelerations``; leaving the bounds is tested
-    before the cap, so a fall on the last step is value-terminal; the grid
-    index counts each live component's edges at or below it, as ``index``
-    does over ``_live``. A cart-pole has two actions, so a uniform action is
-    the low bit of one draw, which equals ``Rng.next_int_below(2)``. Every
-    step pays reward 1.0, so the episode's reward is its step count.
+    before the cap, so a fall on the last step is value-terminal. A
+    cart-pole has two actions, so a uniform action is the low bit of one
+    draw, which equals ``Rng.next_int_below(2)``, and every step pays 1.0,
+    so the episode's reward is its step count.
 
-    Draws pop the generator's output array, ``rng._block``, bound once per
-    episode: the array is one object that holds the next output last and is
-    refilled in place only when empty, so popping it, and calling
-    ``rng._refill`` when it is empty, gives the draws ``next_u64`` would.
-    The explore test compares the raw draw with ``_explore_below(epsilon)``,
-    which is exactly ``next_f64() < epsilon`` on the same draw.
+    The episode draws four times to reset and at most twice a step, so it
+    reserves that many draws once and pops them with no refill in the loop;
+    ``pop() < Rng.f64_bound(epsilon)`` is ``next_f64() < epsilon``.
     """
-    block = rng._block
-    pop = block.pop
-    explore_below = _explore_below(epsilon)
+    pop = rng.reserve(4 + 2 * MAX_STEPS).pop
+    explore_below = Rng.f64_bound(epsilon)
     alpha = params.alpha
     gamma = params.gamma
-    edges: list[tuple[float, ...]] = [()] * 4  # () for a dimension with one bucket
-    strides = [0] * 4
-    for i, dim_edges, stride in discretizer._live:
-        edges[i], strides[i] = dim_edges, stride
-    e0, e1, e2, e3 = edges
-    k0, k1, k2, k3 = strides
+    e0, e1, e2, e3 = discretizer.edges  # () for a dimension with one bucket
+    k0, k1, k2, k3 = discretizer.strides
     state = cartpole_reset(rng)
     row = q[discretizer.index(state)]
     x, x_dot, theta, theta_dot, steps = state
     while True:
-        if not block:
-            rng._refill()
         if pop() < explore_below:
-            if not block:
-                rng._refill()
             a = pop() & 1
         elif row[1] > row[0]:
             a = 1
         elif row[1] == row[0]:
-            if not block:
-                rng._refill()
             a = pop() & 1
         else:
             a = 0

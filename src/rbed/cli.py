@@ -47,17 +47,24 @@ def _apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentCon
     return replace(config, **overrides) if overrides else config
 
 
-def _warn_if_stalled(name: str, config: ExperimentConfig) -> None:
-    """One stderr line if ``name``'s RBED ladder stops above its floor."""
-    from .config import MAX_RETURN, stalled_epsilon
+def _warn_about_ladder(name: str, config: ExperimentConfig) -> None:
+    """One stderr line if ``name``'s RBED ladder stops above its floor, or
+    reaches it while the threshold is below ``reward_target``."""
+    from .config import MAX_RETURN, early_floor, stalled_epsilon
 
-    epsilon = stalled_epsilon(config)
+    s, epsilon, threshold = config.scheduler, stalled_epsilon(config), early_floor(config)
     if epsilon is not None:
         print(
-            f"warning: {name}: epsilon stalls at {epsilon:.4g}, above epsilon_min"
-            f" {config.scheduler.epsilon_min:g}: the RBED threshold ladder passes"
-            f" {MAX_RETURN[config.environment]:g}, the largest episode return on"
-            f" {config.environment}",
+            f"warning: {name}: epsilon stalls at {epsilon:.4g}, above epsilon_min {s.epsilon_min:g}:"
+            f" the RBED threshold ladder passes {MAX_RETURN[config.environment]:g}, the largest"
+            f" episode return on {config.environment}",
+            file=sys.stderr,
+        )
+    if threshold is not None:  # never with a stall
+        print(
+            f"warning: {name}: epsilon reaches epsilon_min {s.epsilon_min:g} when the RBED"
+            f" threshold is {threshold!r}, below reward_target {s.reward_target:g}:"
+            " reward_target counts decays, not reward",
             file=sys.stderr,
         )
 
@@ -76,7 +83,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     from .runner import run_experiment, usable_cpus
 
     config = _apply_overrides(_load(args.config), _overrides(args))
-    _warn_if_stalled(args.config or "the default config", config)
+    _warn_about_ladder(args.config or "the default config", config)
     results = run_experiment(config, jobs=args.jobs or usable_cpus())
     from .emit import emit_results  # after the seed-runs: see the module docstring
 
@@ -92,8 +99,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     overrides = _overrides(args)
     config_a = _apply_overrides(_load(args.config_a), overrides)
     config_b = _apply_overrides(_load(args.config_b), overrides)
-    _warn_if_stalled(f"arm a ({args.config_a})", config_a)
-    _warn_if_stalled(f"arm b ({args.config_b})", config_b)
+    _warn_about_ladder(f"arm a ({args.config_a})", config_a)
+    _warn_about_ladder(f"arm b ({args.config_b})", config_b)
     report = compare(config_a, config_b, jobs=args.jobs or usable_cpus())
     from .emit import emit_compare  # after the seed-runs: see the module docstring
 

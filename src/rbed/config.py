@@ -84,6 +84,7 @@ class RbedConfig:
     kind: ClassVar[str] = "rbed"
     epsilon_start: float = _field(1.0, ge=0.0, le=1.0)
     epsilon_min: float = _field(0.0, ge=0.0, le="epsilon_start")
+    # counts the decays from epsilon_start to epsilon_min, not reward: see early_floor
     reward_target: float = _field(195.0, gt=0.0)
     reward_increment: float = _field(1.0, gt=0.0)
     reward_threshold_init: float = 0.0
@@ -335,6 +336,19 @@ def stalled_epsilon(config: ExperimentConfig) -> Optional[float]:
     last = (top - s.reward_threshold_init) / s.reward_increment
     crossings = 0 if last < 0 else min(math.floor(min(last, needed)) + 1, needed - 1)
     return s.epsilon_start - crossings * (s.epsilon_start - s.epsilon_min) / s.reward_target
+
+
+def early_floor(config: ExperimentConfig) -> Optional[float]:
+    """The RBED threshold once the ``ceil(reward_target)`` decays have taken
+    epsilon to ``epsilon_min``, if that is below ``reward_target``, which
+    counts decays, not reward. None otherwise, when epsilon stalls before its
+    floor (``stalled_epsilon``) and when the schedule is not RBED."""
+    s = config.scheduler
+    if isinstance(s, RbedConfig) and s.epsilon_start > s.epsilon_min:
+        threshold = s.reward_threshold_init + math.ceil(s.reward_target) * s.reward_increment
+        if threshold < s.reward_target and stalled_epsilon(config) is None:
+            return threshold
+    return None
 
 
 def config_to_dict(config: Any) -> dict:

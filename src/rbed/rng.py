@@ -23,23 +23,22 @@ rotates, and ``_LANE_MASK`` clears them, so one big-int operation steps every
 lane. ``Rng(seed)`` builds the lanes from the seed state by doubling: it moves
 every lane built so far on by as many lanes and places the results above
 them. A refill's ``_LANE_STEPS`` steps give the next ``_LANE_STEPS * _LANES``
-outputs, handed out lane by lane, so in stream order. The same steps visit
-T^0 s .. T^(_LANE_STEPS - 1) s of each lane's start s, so XORing up those
-where x^(_LANES * _LANE_STEPS) mod p has a 1 gives the next round's start:
-one loop, ``_round``, both jumps and makes outputs. Every output is the value
-the one-at-a-time generator gives at the same position; only when it is
-computed changes.
+outputs, handed out lane by lane, so in stream order, and visit T^0 s ..
+T^(_LANE_STEPS - 1) s of each lane's start s: XORing up those where
+x^(_LANES * _LANE_STEPS) mod p has a 1 gives the next round's start, so one
+loop, ``_round``, both jumps and makes outputs. Every output equals the
+one-at-a-time generator's at the same position.
 
-The outputs not yet handed out wait in one ``array("Q")``, ``Rng._block``,
-as packed 64-bit words with the next output last. It is the same array
-object for the generator's whole life, and ``_refill`` fills it in place only
-when it is empty. So a hot loop may bind the array and its ``pop`` once, pop
-the stream in order, and call ``_refill`` itself whenever the array is empty;
-it draws exactly what ``next_u64`` would have.
+The outputs not yet handed out wait in one ``array("Q")`` as packed 64-bit
+words, the next output last; a refill puts its round in front of them.
+``Rng.reserve(n)`` refills until that array holds at least ``n`` and returns
+it, so a loop that needs at most ``n`` draws pops them from it and gets
+exactly what ``next_u64`` would have given.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from typing import Callable, Optional
@@ -113,11 +112,6 @@ class Rng:
     Every random decision in a run (environment reset, explore/exploit
     draw, random action, tie-break) pulls from one instance in a fixed
     call order, so a seed fully determines the run.
-
-    ``_block`` is one ``array("Q")`` for the generator's life: it holds the
-    outputs not yet handed out, the next one last, and ``_refill`` refills
-    it in place only when it is empty. ``agent._cartpole_episode`` pops it
-    directly; every other caller draws through the methods below.
     """
 
     __slots__ = ("_s0", "_s1", "_s2", "_s3", "_block")
@@ -142,18 +136,27 @@ class Rng:
         self._block = array("Q")  # outputs not yet handed out, the next one last
 
     def _refill(self) -> None:
-        """Make the next ``_LANE_STEPS * _LANES`` outputs, all lanes at once,
-        into the empty ``_block``, and leave every lane at its next round's start."""
+        """Put the next ``_LANE_STEPS * _LANES`` outputs, made all lanes at once,
+        in front of those ``_block`` holds; every lane moves to its next round."""
         words = array("Q")  # the round's outputs, step by step
         self._s0, self._s1, self._s2, self._s3 = _round(
             self._s0, self._s1, self._s2, self._s3, _JUMPS[-1], words.frombytes
         )
         # each output carries every lane's word in the low half of its slot;
-        # the last lane's last output goes in first, so the next one ends up last
+        # the last lane's last output goes in first, so the round's first ends up last
         last = len(words) - 2 * _LANES  # the last step's first word
-        block = self._block  # empty: filled in place, never rebound
+        fresh = array("Q")
         for w in reversed(_LANE_WORDS):
-            block += words[last + w :: -2 * _LANES]
+            fresh += words[last + w :: -2 * _LANES]
+        self._block[:0] = fresh  # in place: the array is never rebound
+
+    def reserve(self, n: int) -> array:
+        """The one array of undrawn outputs, the next one last, refilled until it
+        holds at least ``n``: its first ``n`` pops are the draws ``next_u64`` gives."""
+        block = self._block
+        while len(block) < n:
+            self._refill()
+        return block
 
     def next_u64(self) -> int:
         """Next raw 64-bit output."""
@@ -165,6 +168,17 @@ class Rng:
     def next_f64(self) -> float:
         """Uniform float in [0, 1), on the 53-bit grid."""
         return (self.next_u64() >> 11) * _INV_2_53
+
+    @staticmethod
+    def f64_bound(p: float) -> int:
+        """The bound with ``u < bound`` exactly when ``next_f64`` on the raw
+        draw ``u`` is below ``p``, for every 64-bit ``u`` and double ``p``: the
+        integer ``u >> 11`` is below ``p * 2**53`` (an exact product) exactly
+        when it is below that product's ceiling c, that is when ``u < c << 11``.
+        It is 0 when no draw passes (p at most 0, or NaN), 2**64 when all do."""
+        if not p > 0.0:
+            return 0
+        return math.ceil(min(p, 1.0) * (1 << 53)) << 11
 
     def next_int_below(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased (rejection sampling, no raw

@@ -41,15 +41,16 @@ class RbedSchedule:
         reward_increment: float = 1.0,
         reward_threshold: float = 0.0,
     ) -> "RbedSchedule":
-        """Derive the decay step from the solve target.
+        """Derive the decay step from ``reward_target``, a count of decays.
 
         The step is sized so that epsilon walks from ``epsilon_start`` down to
-        ``epsilon_min`` in ``reward_target`` threshold crossings (rounded up;
-        one more may clear a float-rounding residue): by the time the
-        threshold ladder reaches the target, exploration is over. That holds
-        only when every crossing is reachable, i.e. when ``reward_threshold +
-        (ceil(reward_target) - 1) * reward_increment`` is at most the
-        environment's largest episode return (200 on cart-pole, 1.0 on the
+        ``epsilon_min`` in ``reward_target`` decays (rounded up; one more may
+        clear a float-rounding residue), so ``reward_target`` counts decays,
+        not reward: the threshold then stands at ``reward_threshold +
+        ceil(reward_target) * reward_increment``, the target only at increment
+        1 from 0. The walk ends only if every crossing is reachable, i.e. if
+        ``reward_threshold + (ceil(reward_target) - 1) * reward_increment`` is
+        at most the largest episode return (200 on cart-pole, 1.0 on the
         chain); otherwise epsilon stalls above ``epsilon_min``.
         """
         return cls(

@@ -282,6 +282,35 @@ def test_criterion_8_exponential_reaches_ceiling_first(default_comparison):
     )
 
 
+def test_readme_quotes_the_default_comparison(default_comparison):
+    # README's compare output and the figures of "What the benchmark shows"
+    # are this fixture's, so a change to the defaults cannot leave them stale
+    from rbed.cli import _summarize_arm
+
+    rep = default_comparison
+    rbed, exp = rep.a, rep.b
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    ratio = f"solve-count ratio a/b: {rep.solve_ratio:.3f}"
+    for line in (_summarize_arm(rbed), _summarize_arm(exp), ratio):
+        assert line in readme.splitlines(), line
+    section = readme.split("## What the benchmark shows")[1].split("\n## ")[0]
+    shows = " ".join(section.split())
+    figures = (
+        f"solves {rbed.solve_count}/20",
+        f"solves {exp.solve_count}/20",
+        f"{rep.solve_ratio:.1f}x",
+        f"episode {crossing_episode(rbed.curves)}",
+        f"first-200 episode {exp.mean_first_200:.0f} vs {rbed.mean_first_200:.0f}",
+    )
+    for figure in figures:
+        assert figure in shows, figure
+    assert figures == (
+        "solves 17/20", "solves 8/20", "2.1x", "episode 484", "first-200 episode 129 vs 242"
+    )
+    assert ratio == "solve-count ratio a/b: 2.125"
+    report("PASS README: the compare output and the quoted figures match the default comparison")
+
+
 # -- 9: schedule behavior properties ----------------------------------------------
 
 

@@ -9,7 +9,6 @@ import rbed.agent
 from rbed.agent import (
     Discretizer,
     _edges,
-    _explore_below,
     new_q_table,
     q_update,
     reference_episode,
@@ -17,7 +16,15 @@ from rbed.agent import (
     select_action,
 )
 from rbed.config import DEFAULT_BUCKETS, DEFAULT_CLIPS, MAX_CLIP, AgentConfig
-from rbed.envs import LEFT, RIGHT, THETA_THRESHOLD, X_THRESHOLD, TabularCartPole, TabularChain
+from rbed.envs import (
+    LEFT,
+    MAX_STEPS,
+    RIGHT,
+    THETA_THRESHOLD,
+    X_THRESHOLD,
+    TabularCartPole,
+    TabularChain,
+)
 from rbed.rng import Rng
 
 GRID = Discretizer((3, 3, 6, 6), (2.4, 3.0, THETA_THRESHOLD, 2.0))
@@ -406,7 +413,7 @@ def test_rollout_matches_hand_rolled_loop(buckets, clips, epsilon):
 
 
 def _assert_explore_bound_is_the_float_test(epsilon, *more_u):
-    bound = _explore_below(epsilon)
+    bound = Rng.f64_bound(epsilon)
     for u in (0, bound - 1, bound, 2**64 - 1, *more_u):
         if 0 <= u < 2**64:
             assert (u < bound) == ((u >> 11) * 2**-53 < epsilon), (epsilon, u)
@@ -427,7 +434,7 @@ def _assert_explore_bound_is_the_float_test(epsilon, *more_u):
     ],
 )
 def test_explore_bound_at_edge_epsilons(epsilon, bound):
-    assert _explore_below(epsilon) == bound
+    assert Rng.f64_bound(epsilon) == bound
     _assert_explore_bound_is_the_float_test(epsilon)
 
 
@@ -441,27 +448,51 @@ def test_explore_bound_is_the_float_test(epsilon, u):
 @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("left", [0, 1, 2])
 def test_fused_loop_across_a_refill(left, epsilon):
-    # the loop starts with `left` outputs in the generator's list, after the
-    # reset's four; at left 1 and epsilon 0 (a tie on the zero table) or 1 the
-    # refill falls between the explore draw and the action draw
+    # both loops start with `left` outputs in the generator's array after the
+    # reset's four: the fused loop reserves a refill before its first draw,
+    # the reference loop refills when the array runs dry, at left 1 and
+    # epsilon 0 (a tie on the zero table) or 1 between the explore draw and
+    # the action draw
     d = Discretizer(DEFAULT_BUCKETS, DEFAULT_CLIPS)
     params = AgentConfig()
     env = TabularCartPole(d)
     q = new_q_table(env.n_states, env.n_actions)
     q2 = new_q_table(env.n_states, env.n_actions)
     rng, rng2 = Rng(7), Rng(7)
-    block = rng._block
+    block = rng.reserve(0)
     for r in (rng, rng2):
         r.next_u64()  # the first refill
-        for _ in range(len(r._block) - 4 - left):
+        for _ in range(len(r.reserve(0)) - 4 - left):
             r.next_u64()
     assert len(block) == 4 + left
     for ep in range(3):
         got = run_episode(env, q, epsilon, params, rng, episode=ep)
         assert got == reference_episode(env, q2, epsilon, params, rng2, episode=ep)
-    assert rng._block is block and len(block) > 4 + left  # refilled in place
+    assert rng.reserve(0) is block and len(block) > 4 + left  # refilled in place
     assert q == q2
     assert rng.next_u64() == rng2.next_u64()
+
+
+@pytest.mark.parametrize("buffered, refills", [(4 + 2 * MAX_STEPS, 0), (3 + 2 * MAX_STEPS, 1)])
+def test_fused_episode_refills_only_before_its_first_draw(monkeypatch, buffered, refills):
+    # an episode draws four times to reset and at most twice a step, so one
+    # that starts with that many outputs buffered never refills, and one that
+    # starts with one fewer refills once, before it draws
+    rng = Rng(7)
+    block = rng.reserve(buffered)
+    for _ in range(len(block) - buffered):
+        rng.next_u64()
+    seen = []
+    refill = Rng._refill
+
+    def counted(self):
+        seen.append(len(block))
+        refill(self)
+
+    monkeypatch.setattr(Rng, "_refill", counted)
+    d = Discretizer(DEFAULT_BUCKETS, DEFAULT_CLIPS)
+    run_episode(TabularCartPole(d), new_q_table(d.n_states, 2), 1.0, AgentConfig(), rng)
+    assert seen == [buffered] * refills
 
 
 class _CappedStub:

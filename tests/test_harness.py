@@ -35,6 +35,7 @@ from rbed.config import (
     config_from_dict,
     config_from_json,
     config_to_dict,
+    early_floor,
     load_config,
     parse_seed_spec,
     stalled_epsilon,
@@ -1082,6 +1083,59 @@ def test_cli_compare_parses_seeds_once(tmp_path, capsys, monkeypatch):
         assert sorted(p.name for p in (out / arm).glob("run_*.csv")) == ["run_4.csv", "run_6.csv"]
 
 
+@pytest.mark.parametrize(
+    "scheduler, threshold",
+    [
+        ({}, None),  # 195 decays from 0 by 1.0 end at the target, 195
+        ({"reward_increment": 0.5}, 97.5),
+        ({"reward_increment": math.nextafter(1.0, 0.0)}, 195 * math.nextafter(1.0, 0.0)),
+        ({"reward_increment": 0.5, "reward_threshold_init": 97.5}, None),
+        ({"reward_increment": 0.5, "epsilon_min": 1.0}, None),  # never decays
+        ({"kind": "exponential"}, None),
+        ({"reward_increment": 2}, None),  # stalls at 0.4821
+    ],
+)
+def test_early_floor_is_the_threshold_after_the_last_decay(scheduler, threshold):
+    # reward_target counts decays: after ceil(reward_target) of them, each
+    # paid for with the largest return, epsilon is at its floor and the
+    # threshold is reward_threshold_init + ceil(reward_target) * reward_increment
+    config = config_from_dict({"scheduler": scheduler})
+    assert early_floor(config) == threshold
+    s = config.scheduler
+    if isinstance(s, RbedConfig) and s.epsilon_min < 1.0 and stalled_epsilon(config) is None:
+        schedule = s.schedule()
+        for _ in range(math.ceil(s.reward_target)):
+            schedule = schedule.update(MAX_RETURN["cartpole"])
+        assert schedule.epsilon == pytest.approx(s.epsilon_min, abs=1e-12)
+        assert (schedule.reward_threshold < s.reward_target) == (threshold is not None)
+
+
+def test_cli_warns_once_per_arm_whose_ladder_ends_below_its_target(tmp_path, capsys):
+    half = write_config(tmp_path, "half.json", {**SMALL, "scheduler": {"reward_increment": 0.5}})
+    under = math.nextafter(1.0, 0.0)
+    near = write_config(tmp_path, "near.json", {**SMALL, "scheduler": {"reward_increment": under}})
+    cmd = ["compare", "--episodes", "2", "--jobs", "1"]
+    assert main([*cmd, "--config-a", half, "--config-b", near, "--out", str(tmp_path / "o")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"warning: arm a ({half}): epsilon reaches epsilon_min 0 when the RBED threshold is 97.5,"
+        " below reward_target 195: reward_target counts decays, not reward",
+        f"warning: arm b ({near}): epsilon reaches epsilon_min 0 when the RBED threshold is"
+        f" {195 * under!r}, below reward_target 195: reward_target counts decays, not reward",
+    ]
+    assert "warning" not in captured.out
+    # a chain ladder at 0.5 would also end below its target, but it stalls
+    # first, and only the stall line is printed
+    chain = write_config(
+        tmp_path, "chain.json", {"environment": "chain", "scheduler": {"reward_increment": 0.5}}
+    )
+    assert early_floor(load_config(chain)) is None
+    cmd = ["run", "--config", chain, "--seeds", "1", "--episodes", "3", "--jobs", "1"]
+    assert main([*cmd, "--out", str(tmp_path / "chain")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"warning: {chain}: epsilon stalls at ")
+
+
 def test_cli_warns_once_per_stalling_arm(tmp_path, capsys):
     chain = write_config(tmp_path, "chain.json", {"environment": "chain"})
     out = tmp_path / "chain"
@@ -1111,6 +1165,7 @@ def test_shipped_configs_print_no_warning(tmp_path, capsys):
     repo = Path(__file__).resolve().parent.parent
     for path in ("configs/rbed.json", "configs/exponential.json", "perfbench/workloads/random_policy.json"):
         assert stalled_epsilon(load_config(repo / path)) is None, path
+        assert early_floor(load_config(repo / path)) is None, path
     a, b = str(repo / "configs/rbed.json"), str(repo / "configs/exponential.json")
     cmd = ["compare", "--config-a", a, "--config-b", b, "--seeds", "1", "--episodes", "2"]
     assert main([*cmd, "--jobs", "1", "--out", str(tmp_path / "o")]) == 0

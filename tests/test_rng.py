@@ -1,10 +1,11 @@
 """Generator determinism, output ranges, and uniformity sanity."""
 
+import functools
 import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rbed.rng
 from rbed.rng import _JUMPS, _LANE_STEPS, _LANES, _MASK64, Rng, _round, _splitmix64
@@ -165,10 +166,35 @@ def test_mixed_draws_across_a_refill():
     assert tuple(draws) == SEED1_MIXED_FROM_58
 
 
+@functools.cache
+def seed9_stream():
+    return reference_stream(9, 5 * ROUND)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 * ROUND), st.integers(0, 2 * ROUND))
+@example(0, 0)
+@example(0, ROUND + 1)
+@example(ROUND - 1, 2)
+@example(ROUND, 2 * ROUND)
+def test_reserve_keeps_the_stream(k, n):
+    # after any k draws, reserve(n) hands back the one output array holding at
+    # least n undrawn outputs, whatever it held before, and popping all of it
+    # gives the one-at-a-time stream
+    rng = Rng(9)
+    block = rng.reserve(0)
+    for _ in range(k):
+        rng.next_u64()
+    assert rng.reserve(n) is block and len(block) >= n
+    held = len(block)  # below n + ROUND
+    assert [block.pop() for _ in range(held)] == seed9_stream()[k : k + held]
+    assert rng.next_u64() == seed9_stream()[k + held]
+
+
 def test_pop_bound_before_a_refill_keeps_the_stream():
     # _refill fills the one array in place, so a pop bound before the first
-    # refill hands out the stream in order, as the fused cart-pole loop needs;
-    # each refill stores one round as packed 64-bit words
+    # refill hands out the stream in order; each refill stores one round as
+    # packed 64-bit words
     rng, twin = Rng(9), Rng(9)
     block = rng._block
     pop = block.pop
