@@ -55,22 +55,15 @@ def bucket(value: float, clip: float, count: int) -> int:
 def _edges(clip: float, count: int) -> tuple[float, ...]:
     """For each k in 1..count-1, the least double whose ``bucket`` is k or more.
 
-    Each edge is a bisection over values inside a checked bracket: a few ulps
-    around the real-valued edge, widened to the clip on a side that fails the
-    check, so the slack affects only the speed. Halving the gap ends when the
-    midpoint equals an end, which is when the ends are adjacent doubles; it
-    reaches an edge near 0.0 without crossing the subnormals one at a time.
-    Cached, so each (clip, count) is searched once per process.
+    Each edge is a bisection over [-clip, clip], where ``bucket`` is 0 and
+    count - 1. Halving the gap ends when the midpoint equals an end, which is
+    when the ends are adjacent doubles; it reaches an edge near 0.0 without
+    crossing the subnormals one at a time. Cached, so each (clip, count) is
+    searched once per process.
     """
-    slack = 4 * math.ulp(clip)
     edges = []
     for k in range(1, count):
-        guess = k * (2.0 * clip) / count - clip
-        lo, hi = max(guess - slack, -clip), min(guess + slack, clip)
-        if bucket(lo, clip, count) >= k:
-            lo = -clip
-        if bucket(hi, clip, count) < k:
-            hi = clip
+        lo, hi = -clip, clip
         while True:  # bucket(lo) < k <= bucket(hi)
             mid = (lo + hi) / 2
             if mid == lo or mid == hi:

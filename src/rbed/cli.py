@@ -49,18 +49,21 @@ def _apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentCon
 
 def _warn_about_ladder(name: str, config: ExperimentConfig) -> None:
     """One stderr line if ``name``'s RBED ladder stops above its floor, or
-    reaches it while the threshold is below ``reward_target``."""
-    from .config import MAX_RETURN, early_floor, stalled_epsilon
+    else reaches it while the threshold is below ``reward_target``."""
+    from .config import MAX_RETURN, ladder_end
 
-    s, epsilon, threshold = config.scheduler, stalled_epsilon(config), early_floor(config)
-    if epsilon is not None:
+    s, end = config.scheduler, ladder_end(config)
+    if end is None:
+        return
+    epsilon, threshold = end
+    if epsilon > s.epsilon_min:
         print(
             f"warning: {name}: epsilon stalls at {epsilon:.4g}, above epsilon_min {s.epsilon_min:g}:"
             f" the RBED threshold ladder passes {MAX_RETURN[config.environment]:g}, the largest"
             f" episode return on {config.environment}",
             file=sys.stderr,
         )
-    if threshold is not None:  # never with a stall
+    elif threshold < s.reward_target:
         print(
             f"warning: {name}: epsilon reaches epsilon_min {s.epsilon_min:g} when the RBED"
             f" threshold is {threshold!r}, below reward_target {s.reward_target:g}:"

@@ -84,7 +84,7 @@ class RbedConfig:
     kind: ClassVar[str] = "rbed"
     epsilon_start: float = _field(1.0, ge=0.0, le=1.0)
     epsilon_min: float = _field(0.0, ge=0.0, le="epsilon_start")
-    # counts the decays from epsilon_start to epsilon_min, not reward: see early_floor
+    # counts the decays from epsilon_start to epsilon_min, not reward: see ladder_end
     reward_target: float = _field(195.0, gt=0.0)
     reward_increment: float = _field(1.0, gt=0.0)
     reward_threshold_init: float = 0.0
@@ -314,41 +314,36 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def stalled_epsilon(config: ExperimentConfig) -> Optional[float]:
-    """The epsilon where an RBED schedule stops, if it stops above
-    ``epsilon_min``; None if it reaches the floor or is not RBED.
+def ladder_end(config: ExperimentConfig) -> Optional[tuple[float, float]]:
+    """The ``(epsilon, threshold)`` an RBED ladder holds after the last decay
+    it can buy when every episode pays the environment's ``MAX_RETURN``; None
+    if the scheduler is not RBED or never decays (``epsilon_start ==
+    epsilon_min``).
 
-    The walk to the floor takes ``ceil(reward_target)`` threshold crossings,
-    and crossing n needs an episode that pays ``reward_threshold_init + n *
-    reward_increment``, which no episode does past the environment's
-    ``MAX_RETURN``. Such a config still runs; it just explores more than its
-    ``epsilon_min`` says.
+    The walk to ``epsilon_min`` takes ``ceil(reward_target)`` decays, and
+    decay n + 1 needs an episode that pays ``reward_threshold_init + n *
+    reward_increment``. If the last is reachable, the ladder ends at
+    ``epsilon_min`` with the threshold at ``reward_threshold_init +
+    ceil(reward_target) * reward_increment``, which is ``reward_target`` only
+    at increment 1 from 0: ``reward_target`` counts decays, not reward.
+    Otherwise epsilon stalls above ``epsilon_min``; such a config still
+    runs, it just explores more than its ``epsilon_min`` says.
     """
     s = config.scheduler
     if not isinstance(s, RbedConfig) or s.epsilon_start == s.epsilon_min:
         return None
     top = MAX_RETURN[config.environment]
-    needed = math.ceil(s.reward_target)
-    if s.reward_threshold_init + (needed - 1) * s.reward_increment <= top:
-        return None
-    # crossings 0..floor(last) are reachable, fewer than needed (the clamps
-    # keep a rounding of last, or its overflow to inf, from saying otherwise)
-    last = (top - s.reward_threshold_init) / s.reward_increment
-    crossings = 0 if last < 0 else min(math.floor(min(last, needed)) + 1, needed - 1)
-    return s.epsilon_start - crossings * (s.epsilon_start - s.epsilon_min) / s.reward_target
-
-
-def early_floor(config: ExperimentConfig) -> Optional[float]:
-    """The RBED threshold once the ``ceil(reward_target)`` decays have taken
-    epsilon to ``epsilon_min``, if that is below ``reward_target``, which
-    counts decays, not reward. None otherwise, when epsilon stalls before its
-    floor (``stalled_epsilon``) and when the schedule is not RBED."""
-    s = config.scheduler
-    if isinstance(s, RbedConfig) and s.epsilon_start > s.epsilon_min:
-        threshold = s.reward_threshold_init + math.ceil(s.reward_target) * s.reward_increment
-        if threshold < s.reward_target and stalled_epsilon(config) is None:
-            return threshold
-    return None
+    needed = decays = math.ceil(s.reward_target)
+    if s.reward_threshold_init + (needed - 1) * s.reward_increment > top:
+        # decays 1..floor(last) + 1 are reachable, fewer than needed (the
+        # clamps keep a rounding of last, or its overflow to inf, from saying
+        # otherwise)
+        last = (top - s.reward_threshold_init) / s.reward_increment
+        decays = 0 if last < 0 else min(math.floor(min(last, needed)) + 1, needed - 1)
+    epsilon = s.epsilon_min
+    if decays < needed:
+        epsilon = s.epsilon_start - decays * (s.epsilon_start - s.epsilon_min) / s.reward_target
+    return epsilon, s.reward_threshold_init + decays * s.reward_increment
 
 
 def config_to_dict(config: Any) -> dict:

@@ -44,14 +44,14 @@ class RbedSchedule:
         """Derive the decay step from ``reward_target``, a count of decays.
 
         The step is sized so that epsilon walks from ``epsilon_start`` down to
-        ``epsilon_min`` in ``reward_target`` decays (rounded up; one more may
-        clear a float-rounding residue), so ``reward_target`` counts decays,
-        not reward: the threshold then stands at ``reward_threshold +
-        ceil(reward_target) * reward_increment``, the target only at increment
-        1 from 0. The walk ends only if every crossing is reachable, i.e. if
-        ``reward_threshold + (ceil(reward_target) - 1) * reward_increment`` is
-        at most the largest episode return (200 on cart-pole, 1.0 on the
-        chain); otherwise epsilon stalls above ``epsilon_min``.
+        ``epsilon_min`` in ``ceil(reward_target)`` decays, so ``reward_target``
+        counts decays, not reward: the default ladder ends at epsilon 0.0 and
+        threshold 195 after 195 decays, and at increment 0.5 at epsilon 0.0 and
+        threshold 97.5. Subtracting the step 195 times leaves epsilon at
+        2.47198095326695e-15 there, a float residue that one more decay
+        clears. A ladder that outgrows the largest episode return stalls above
+        ``epsilon_min`` instead; ``rbed.config.ladder_end`` says where a
+        config's ladder ends.
         """
         return cls(
             epsilon=epsilon_start,

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from rbed.agent import new_q_table, run_episode
-from rbed.config import AgentConfig, config_from_dict, load_config
+from rbed.config import AgentConfig, config_from_dict, ladder_end, load_config
 from rbed.emit import emit_compare, figures_from_dir
 from rbed.envs import LEFT, RIGHT, CartPoleState, TabularChain, cartpole_step
 from rbed.metrics import EpisodeRecord, solved_at
@@ -134,12 +134,12 @@ def test_criterion_5_solved_rule_matches_brute_force():
 # -- 6: byte-level determinism through the CLI -----------------------------------
 
 
-def cli(*args):
+def cli(*args, cwd=REPO):
     proc = subprocess.run(
         [sys.executable, "-m", "rbed.cli", *args],
         capture_output=True,
         text=True,
-        cwd=REPO,
+        cwd=cwd,
     )
     assert proc.returncode == 0, proc.stderr
     return proc
@@ -309,6 +309,45 @@ def test_readme_quotes_the_default_comparison(default_comparison):
     )
     assert ratio == "solve-count ratio a/b: 2.125"
     report("PASS README: the compare output and the quoted figures match the default comparison")
+
+
+def test_readme_states_where_the_ladders_end(tmp_path):
+    # README's ladder table is ladder_end's, row by row, and its two example
+    # warnings are what rbed run prints for the configs it names
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Config | Decays | Final epsilon | Final threshold |\n|---|---|---|---|\n")[1]
+    rows = [line.strip("| ").split(" | ") for line in table.split("\n\n")[0].splitlines()]
+    assert [row[0] for row in rows] == [
+        "defaults",
+        "`reward_increment: 0.5`",
+        "`reward_increment: 2`",
+        "`reward_target: 400`",
+        "`environment: chain`",
+    ]
+    for cell, decays, shown_epsilon, shown_threshold in rows:
+        data = {}
+        if cell != "defaults":
+            key, value = cell.strip("`").split(": ")
+            data = {"environment": value} if key == "environment" else {"scheduler": {key: float(value)}}
+        config = config_from_dict(data)
+        s, (epsilon, threshold) = config.scheduler, ladder_end(config)
+        assert (threshold - s.reward_threshold_init) / s.reward_increment == int(decays), cell
+        assert threshold == float(shown_threshold), cell
+        digits = shown_epsilon.removeprefix("about ")
+        assert f"{epsilon:.{len(digits.split('.')[1])}f}" == digits, cell
+        assert (digits == shown_epsilon) == (epsilon == float(digits)), cell
+    configs = {
+        "chain.json": {"environment": "chain"},
+        "half.json": {"scheduler": {"reward_increment": 0.5}},
+    }
+    warnings = [line for line in readme.splitlines() if line.startswith("warning: ")]
+    assert [line.split(":")[1].strip() for line in warnings] == list(configs)
+    for (name, data), line in zip(configs.items(), warnings):
+        assert f"`{name}` holds `{json.dumps(data)}`" in " ".join(readme.split()), name
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+        args = ("run", "--config", name, "--seeds", "1", "--episodes", "1", "--jobs", "1")
+        assert cli(*args, "--out", name.removesuffix(".json"), cwd=tmp_path).stderr == line + "\n"
+    report("PASS README: the ladder table and both ladder warnings are what rbed computes and prints")
 
 
 # -- 9: schedule behavior properties ----------------------------------------------

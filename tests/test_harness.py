@@ -35,10 +35,9 @@ from rbed.config import (
     config_from_dict,
     config_from_json,
     config_to_dict,
-    early_floor,
+    ladder_end,
     load_config,
     parse_seed_spec,
-    stalled_epsilon,
     validate_config,
 )
 from rbed.emit import (
@@ -395,7 +394,7 @@ def test_rbed_epsilon_trace_on_chain():
     assert eps[1] == 1.0 - change
     assert eps[2] == pytest.approx(1.0 - 2 * change)
     assert eps[3] == eps[2] and eps[5] == eps[2]
-    assert stalled_epsilon(config) == pytest.approx(eps[2])
+    assert ladder_end(config) == (pytest.approx(eps[2]), 2.0)
 
 
 def _walk_to_stall(config):
@@ -405,7 +404,7 @@ def _walk_to_stall(config):
     top = MAX_RETURN[config.environment]
     while schedule.reward_threshold <= top and schedule.epsilon > schedule.epsilon_min:
         schedule = schedule.update(top)
-    return schedule.epsilon
+    return schedule
 
 
 @pytest.mark.parametrize(
@@ -430,14 +429,15 @@ def test_stalled_epsilon_matches_the_schedule_walk(data, stops_at):
     # the last crossing needs reward_threshold_init + (ceil(reward_target) - 1)
     # * reward_increment at most the largest return; past it epsilon stops
     config = config_from_dict(data)
-    got = stalled_epsilon(config)
-    if stops_at is None:
-        assert got is None
-        if isinstance(config.scheduler, RbedConfig):
-            assert _walk_to_stall(config) == pytest.approx(config.scheduler.epsilon_min, abs=1e-12)
+    s, end = config.scheduler, ladder_end(config)
+    if stops_at is None:  # no ladder, or one that ends at its floor
+        assert end is None or end[0] == s.epsilon_min
+        if isinstance(s, RbedConfig):
+            assert _walk_to_stall(config).epsilon == pytest.approx(s.epsilon_min, abs=1e-12)
     else:
-        assert got == pytest.approx(stops_at, abs=5e-4)
-        assert got == pytest.approx(_walk_to_stall(config), abs=1e-12)
+        walk = _walk_to_stall(config)
+        assert end[0] == pytest.approx(stops_at, abs=5e-4)
+        assert end == (pytest.approx(walk.epsilon, abs=1e-12), walk.reward_threshold)
 
 
 def test_run_experiment_preserves_seed_order():
@@ -1086,7 +1086,9 @@ def test_cli_compare_parses_seeds_once(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "scheduler, threshold",
     [
-        ({}, None),  # 195 decays from 0 by 1.0 end at the target, 195
+        # 195 decays from 0 by 1.0 end at epsilon 0.0 and threshold 195, the
+        # target (the schedule's own walk holds a 2.5e-15 residue there)
+        ({}, None),
         ({"reward_increment": 0.5}, 97.5),
         ({"reward_increment": math.nextafter(1.0, 0.0)}, 195 * math.nextafter(1.0, 0.0)),
         ({"reward_increment": 0.5, "reward_threshold_init": 97.5}, None),
@@ -1100,13 +1102,17 @@ def test_early_floor_is_the_threshold_after_the_last_decay(scheduler, threshold)
     # paid for with the largest return, epsilon is at its floor and the
     # threshold is reward_threshold_init + ceil(reward_target) * reward_increment
     config = config_from_dict({"scheduler": scheduler})
-    assert early_floor(config) == threshold
-    s = config.scheduler
-    if isinstance(s, RbedConfig) and s.epsilon_min < 1.0 and stalled_epsilon(config) is None:
+    s, end = config.scheduler, ladder_end(config)
+    if threshold is not None:
+        assert end == (s.epsilon_min, threshold)
+    else:  # no ladder, a stall, or a floor at or past the target
+        assert end is None or end[0] > s.epsilon_min or end[1] >= s.reward_target
+    if end is not None and end[0] == s.epsilon_min:
         schedule = s.schedule()
         for _ in range(math.ceil(s.reward_target)):
             schedule = schedule.update(MAX_RETURN["cartpole"])
         assert schedule.epsilon == pytest.approx(s.epsilon_min, abs=1e-12)
+        assert schedule.reward_threshold == pytest.approx(end[1])
         assert (schedule.reward_threshold < s.reward_target) == (threshold is not None)
 
 
@@ -1129,7 +1135,7 @@ def test_cli_warns_once_per_arm_whose_ladder_ends_below_its_target(tmp_path, cap
     chain = write_config(
         tmp_path, "chain.json", {"environment": "chain", "scheduler": {"reward_increment": 0.5}}
     )
-    assert early_floor(load_config(chain)) is None
+    assert ladder_end(load_config(chain)) == (pytest.approx(1 - 3 / 195), 1.5)
     cmd = ["run", "--config", chain, "--seeds", "1", "--episodes", "3", "--jobs", "1"]
     assert main([*cmd, "--out", str(tmp_path / "chain")]) == 0
     err = capsys.readouterr().err.splitlines()
@@ -1164,8 +1170,9 @@ def test_cli_warns_once_per_stalling_arm(tmp_path, capsys):
 def test_shipped_configs_print_no_warning(tmp_path, capsys):
     repo = Path(__file__).resolve().parent.parent
     for path in ("configs/rbed.json", "configs/exponential.json", "perfbench/workloads/random_policy.json"):
-        assert stalled_epsilon(load_config(repo / path)) is None, path
-        assert early_floor(load_config(repo / path)) is None, path
+        config = load_config(repo / path)
+        s, end = config.scheduler, ladder_end(config)
+        assert end is None or (end[0] == s.epsilon_min and end[1] >= s.reward_target), path
     a, b = str(repo / "configs/rbed.json"), str(repo / "configs/exponential.json")
     cmd = ["compare", "--config-a", a, "--config-b", b, "--seeds", "1", "--episodes", "2"]
     assert main([*cmd, "--jobs", "1", "--out", str(tmp_path / "o")]) == 0

@@ -10,6 +10,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+from rbed.config import RbedConfig
 from rbed.schedules import ConstantSchedule, ExponentialSchedule, RbedSchedule
 
 
@@ -67,6 +68,18 @@ def test_ledger_exactness_through_full_decay():
     # once at the floor the value clamps exactly
     s = s.update(1000.0)
     assert s.epsilon == 0.0
+
+
+def test_shipped_ladder_needs_one_decay_past_the_target_to_clear_a_residue():
+    # 195 subtractions of change = 1/195 leave a 2.5e-15 residue (README's
+    # ladder table counts 195 decays to 0.0); the 196th decay clamps to 0.0
+    for increment, thresholds in ((1.0, (195.0, 196.0)), (0.5, (97.5, 98.0))):
+        s = RbedConfig(reward_increment=increment).schedule()
+        for _ in range(195):
+            s = s.update(200.0)
+        assert (s.epsilon, s.reward_threshold) == (2.47198095326695e-15, thresholds[0])
+        s = s.update(200.0)
+        assert (s.epsilon, s.reward_threshold) == (0.0, thresholds[1])
 
 
 def test_epsilon_clamps_at_min():
