@@ -91,25 +91,37 @@ class Discretizer:
     for every non-NaN double, because ``bucket`` never decreases as the
     value grows (each of its roundings is monotone), so ``bucket(v) >= k``
     exactly when ``v`` is at or above edge k.
+
+    ``lows`` and ``highs`` are the same edges as cell bounds: the values of
+    cell c are ``lows[c] <= v < highs[c]``, with ``lows = (-inf, *edges)``
+    and ``highs = (*edges, inf)``, so ``bisect_right(edges, v) == c`` exactly
+    when v is within them. ``_cartpole_episode`` keeps the bounds of the
+    current cell and bisects a dimension only when its value leaves them.
     """
 
     buckets: tuple[int, int, int, int]
     clips: tuple[float, float, float, float]
-    # per dimension: the cell edges, and the cell's mixed-radix stride
+    # per dimension: the cell edges, the cell's mixed-radix stride, and each
+    # cell's bounds
     edges: tuple = field(init=False, repr=False, compare=False)
     strides: tuple = field(init=False, repr=False, compare=False)
+    lows: tuple = field(init=False, repr=False, compare=False)
+    highs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(map(_edges, self.clips, self.buckets)))
+        edges = tuple(map(_edges, self.clips, self.buckets))
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "strides", tuple(math.prod(self.buckets[i + 1 :]) for i in range(4)))
+        object.__setattr__(self, "lows", tuple((-math.inf, *e) for e in edges))
+        object.__setattr__(self, "highs", tuple((*e, math.inf) for e in edges))
 
     @property
     def n_states(self) -> int:
         return math.prod(self.buckets)
 
     def index(self, state: Sequence[float]) -> int:
-        """The flat index of ``state``; ``_cartpole_episode`` calls this for its
-        reset state and sums the same counts on its own locals after that."""
+        """The flat index of ``state``. ``TabularCartPole`` calls this;
+        ``_cartpole_episode`` finds its cells with its own bisects."""
         idx = 0
         for edges, stride, value in zip(self.edges, self.strides, state):
             idx += bisect_right(edges, value) * stride
@@ -230,17 +242,27 @@ def _cartpole_episode(
     episode: int,
 ) -> EpisodeRecord:
     """``run_episode`` on a ``TabularCartPole``: the hot path, one frame per
-    episode with the state in locals.
+    episode with the state, the constants and the functions it calls in
+    locals.
 
-    After ``cartpole_reset`` and ``Discretizer.index`` on the first state,
-    each step does what ``select_action``, ``cartpole_step``,
-    ``Discretizer.index`` and ``q_update`` do, in the same order, on the
-    same draws and with the same float operations: the accelerations are
-    grouped as in ``envs.accelerations``; leaving the bounds is tested
-    before the cap, so a fall on the last step is value-terminal. A
-    cart-pole has two actions, so a uniform action is the low bit of one
-    draw, which equals ``Rng.next_int_below(2)``, and every step pays 1.0,
-    so the episode's reward is its step count.
+    After ``cartpole_reset``, each step does what ``select_action``,
+    ``cartpole_step``, ``Discretizer.index`` and ``q_update`` do, in the same
+    order, on the same draws and with the same float operations: the
+    accelerations are grouped as in ``envs.accelerations``; leaving the
+    bounds is tested before the cap, so a fall on the last step is
+    value-terminal and a capped step bootstraps. A cart-pole has two
+    actions, so a uniform action is the low bit of one draw, which equals
+    ``Rng.next_int_below(2)``, and every step pays 1.0, so the episode's
+    reward is its step count.
+
+    The loop keeps the cell of (x, x_dot, theta) as its bounds from
+    ``Discretizer.lows`` and ``highs`` and as ``rows``, the Q-rows of that
+    cell: the same lists as in ``q``, so updates through them land in ``q``.
+    theta_dot is the last dimension (stride 1), so its cell indexes
+    ``rows`` and is bisected every step; the other three are bisected only
+    when one range test finds their value outside the kept bounds, which
+    gives ``bisect_right``'s cell because that cell is the one whose bounds
+    hold the value (a NaN is within none and is bisected).
 
     The episode draws four times to reset and at most twice a step, so it
     reserves that many draws once and pops them with no refill in the loop;
@@ -250,12 +272,36 @@ def _cartpole_episode(
     explore_below = Rng.f64_bound(epsilon)
     alpha = params.alpha
     gamma = params.gamma
+    bisect = bisect_right
+    cosine = cos
+    sine = sin
+    gravity = GRAVITY
+    mass_pole = MASS_POLE
+    half_length = POLE_HALF_LENGTH
+    polemass_length = POLEMASS_LENGTH
+    total_mass = TOTAL_MASS
+    tau = TAU
+    push = FORCE_MAG
+    pull = -FORCE_MAG
+    x_max = X_THRESHOLD
+    x_min = -X_THRESHOLD
+    theta_max = THETA_THRESHOLD
+    theta_min = -THETA_THRESHOLD
     e0, e1, e2, e3 = discretizer.edges  # () for a dimension with one bucket
-    k0, k1, k2, k3 = discretizer.strides
-    state = cartpole_reset(rng)
-    row = q[discretizer.index(state)]
-    x, x_dot, theta, theta_dot, steps = state
-    while True:
+    l0, l1, l2, _ = discretizer.lows
+    h0, h1, h2, _ = discretizer.highs
+    k0, k1, k2, _ = discretizer.strides  # k2 is theta_dot's bucket count
+    x, x_dot, theta, theta_dot, _ = cartpole_reset(rng)
+    c = bisect(e0, x)
+    x_lo, x_hi, b0 = l0[c], h0[c], c * k0
+    c = bisect(e1, x_dot)
+    v_lo, v_hi, b1 = l1[c], h1[c], c * k1
+    c = bisect(e2, theta)
+    t_lo, t_hi, b2 = l2[c], h2[c], c * k2
+    base = b0 + b1 + b2
+    rows = q[base : base + k2]
+    row = rows[bisect(e3, theta_dot)]
+    for steps in range(1, MAX_STEPS + 1):
         if pop() < explore_below:
             a = pop() & 1
         elif row[1] > row[0]:
@@ -264,36 +310,36 @@ def _cartpole_episode(
             a = pop() & 1
         else:
             a = 0
-        force = FORCE_MAG if a else -FORCE_MAG
-        cos_t = cos(theta)
-        sin_t = sin(theta)
-        temp = (force + POLEMASS_LENGTH * theta_dot * theta_dot * sin_t) / TOTAL_MASS
-        theta_acc = (GRAVITY * sin_t - cos_t * temp) / (
-            POLE_HALF_LENGTH * (4.0 / 3.0 - MASS_POLE * cos_t * cos_t / TOTAL_MASS)
+        force = push if a else pull
+        cos_t = cosine(theta)
+        sin_t = sine(theta)
+        temp = (force + polemass_length * theta_dot * theta_dot * sin_t) / total_mass
+        theta_acc = (gravity * sin_t - cos_t * temp) / (
+            half_length * (4.0 / 3.0 - mass_pole * cos_t * cos_t / total_mass)
         )
-        x_acc = temp - POLEMASS_LENGTH * theta_acc * cos_t / TOTAL_MASS
-        x += TAU * x_dot
-        x_dot += TAU * x_acc
-        theta += TAU * theta_dot
-        theta_dot += TAU * theta_acc
-        steps += 1
-        if x > X_THRESHOLD or x < -X_THRESHOLD or theta > THETA_THRESHOLD or theta < -THETA_THRESHOLD:
+        x_acc = temp - polemass_length * theta_acc * cos_t / total_mass
+        x += tau * x_dot
+        x_dot += tau * x_acc
+        theta += tau * theta_dot
+        theta_dot += tau * theta_acc
+        if x > x_max or x < x_min or theta > theta_max or theta < theta_min:
             row[a] += alpha * (1.0 - row[a])  # fell or left the track: no bootstrap
             break
-        s = 0
-        if e0:
-            s += bisect_right(e0, x) * k0
-        if e1:
-            s += bisect_right(e1, x_dot) * k1
-        if e2:
-            s += bisect_right(e2, theta) * k2
-        if e3:
-            s += bisect_right(e3, theta_dot) * k3
-        nxt = q[s]
+        if not (t_lo <= theta < t_hi and v_lo <= x_dot < v_hi and x_lo <= x < x_hi):
+            if not t_lo <= theta < t_hi:
+                c = bisect(e2, theta)
+                t_lo, t_hi, b2 = l2[c], h2[c], c * k2
+            if not v_lo <= x_dot < v_hi:
+                c = bisect(e1, x_dot)
+                v_lo, v_hi, b1 = l1[c], h1[c], c * k1
+            if not x_lo <= x < x_hi:
+                c = bisect(e0, x)
+                x_lo, x_hi, b0 = l0[c], h0[c], c * k0
+            base = b0 + b1 + b2
+            rows = q[base : base + k2]
+        nxt = rows[bisect(e3, theta_dot)]
         n0 = nxt[0]
         n1 = nxt[1]
-        row[a] += alpha * (1.0 + gamma * (n1 if n1 > n0 else n0) - row[a])
-        if steps >= MAX_STEPS:  # the cap: bootstraps through
-            break
+        row[a] += alpha * (1.0 + gamma * (n1 if n1 > n0 else n0) - row[a])  # a capped step bootstraps
         row = nxt
     return EpisodeRecord(episode=episode, total_reward=float(steps), epsilon=epsilon, steps=steps)

@@ -231,8 +231,37 @@ def _check_fields(config: Any, where: str) -> None:
 
 def validate_config(config: ExperimentConfig) -> None:
     """Raise ConfigError naming the first field that breaks its declared
-    type or bounds; numbers must be finite."""
+    type or bounds; numbers must be finite. An RBED ladder must also be able
+    to lower epsilon (``_check_decay_moves``)."""
     _check_fields(config, "")
+    if isinstance(config.scheduler, RbedConfig):
+        _check_decay_moves(config.scheduler)
+
+
+def _check_decay_moves(s: RbedConfig) -> None:
+    """Reject a ladder above its floor whose decay step cannot lower epsilon.
+
+    A decay rounds ``epsilon - change`` to the nearest double, ties to even,
+    so it holds epsilon when ``change`` is below half an ulp of epsilon, or
+    equal to it with epsilon's last bit even. Epsilon only falls, so its ulp
+    never grows, and only the first two decays can hold: the first, or the
+    second after a first tie moved epsilon to an even neighbour in the same
+    binade. Either would keep epsilon above ``epsilon_min`` for good.
+    """
+    # RbedSchedule.update's subtraction, not a call to it: perfbench counts
+    # update calls against the episodes run
+    change = s.schedule().change
+    epsilon = s.epsilon_start
+    for _ in range(2):
+        if epsilon <= s.epsilon_min:
+            return
+        if epsilon - change == epsilon:
+            raise ConfigError(
+                f"scheduler.reward_target must give a decay step that lowers epsilon,"
+                f" got {s.reward_target!r}: the step {change!r} leaves epsilon"
+                f" at {epsilon!r}, above epsilon_min {s.epsilon_min!r}"
+            )
+        epsilon -= change
 
 
 def _require_mapping(value: Any, where: str) -> dict:

@@ -57,11 +57,17 @@ def cartpole_reset(rng) -> CartPoleState:
     """Fresh state with all four components uniform in [-0.05, 0.05].
 
     Draw order is part of the replay contract: x, x_dot, theta, theta_dot.
+    Each component is ``rng.next_f64() * 0.1 - RESET_BOUND``, computed from
+    four pops of one ``Rng.reserve(4)`` with the generator's
+    ``Rng.F64_UNIT``, read off ``rng``: ``rbed.config`` loads this module,
+    and loading ``rbed.rng`` with it would add to every config load.
     """
-    x = rng.next_f64() * 0.1 - RESET_BOUND
-    x_dot = rng.next_f64() * 0.1 - RESET_BOUND
-    theta = rng.next_f64() * 0.1 - RESET_BOUND
-    theta_dot = rng.next_f64() * 0.1 - RESET_BOUND
+    pop = rng.reserve(4).pop
+    unit = rng.F64_UNIT
+    x = (pop() >> 11) * unit * 0.1 - RESET_BOUND
+    x_dot = (pop() >> 11) * unit * 0.1 - RESET_BOUND
+    theta = (pop() >> 11) * unit * 0.1 - RESET_BOUND
+    theta_dot = (pop() >> 11) * unit * 0.1 - RESET_BOUND
     return CartPoleState(x, x_dot, theta, theta_dot, 0)
 
 

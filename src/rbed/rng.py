@@ -116,6 +116,8 @@ class Rng:
 
     __slots__ = ("_s0", "_s1", "_s2", "_s3", "_block")
 
+    F64_UNIT = _INV_2_53  # next_f64 of the raw draw u is (u >> 11) * F64_UNIT
+
     def __init__(self, seed: int) -> None:
         if not 0 <= seed <= _MASK64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")

@@ -33,11 +33,13 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> RunResult:
     env = build_env(config)
     q = new_q_table(env.n_states, env.n_actions)
     schedule = config.scheduler.schedule()
+    params = config.agent
     records = []
+    append = records.append
     for episode in range(1, config.episodes + 1):
-        record = run_episode(env, q, schedule.epsilon, config.agent, rng, episode=episode)
+        record = run_episode(env, q, schedule.epsilon, params, rng, episode=episode)
         schedule = schedule.update(record.total_reward)
-        records.append(record)
+        append(record)
     records = tuple(records)
     return RunResult(seed=seed, records=records, solved_at=solved_at(records))
 

@@ -13,7 +13,7 @@ before any of these is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,13 @@ class RbedSchedule:
         eps = self.epsilon - self.change
         if eps < self.epsilon_min:
             eps = self.epsilon_min
-        return replace(
-            self,
-            epsilon=eps,
-            reward_threshold=self.reward_threshold + self.reward_increment,
+        # the constructor, not dataclasses.replace, which walks fields() per call
+        return RbedSchedule(
+            eps,
+            self.epsilon_min,
+            self.reward_threshold + self.reward_increment,
+            self.reward_increment,
+            self.change,
         )
 
 
@@ -87,7 +90,7 @@ class ExponentialSchedule:
         eps = self.epsilon * self.decay_rate
         if eps < self.epsilon_min:
             eps = self.epsilon_min
-        return replace(self, epsilon=eps)
+        return ExponentialSchedule(eps, self.decay_rate, self.epsilon_min)
 
 
 @dataclass(frozen=True)

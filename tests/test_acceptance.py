@@ -243,6 +243,31 @@ def test_default_compare_at_jobs_2_matches_default_digests(tmp_path):
     report("PASS golden outputs: rbed compare --jobs 2 and its plot match default_digests.json")
 
 
+# the SHA-256 of the files of two small `rbed run`s on the 3x3x6x6 grid,
+# where all four dimensions change cell, hashed before the fused loop kept
+# the current cell between steps; the shipped grid's digests above never
+# see x or x_dot change cell
+LIVE_GRID_DIGESTS = json.loads((REPO / "tests" / "live_grid_digests.json").read_text(encoding="utf-8"))
+LIVE_GRID = {"agent": {"buckets": [3, 3, 6, 6], "gamma": 0.99}, "seeds": "1..3"}
+
+
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        ("constant", {"scheduler": {"kind": "constant", "epsilon": 1.0}, "episodes": 100}),
+        # epsilon is at its floor of 0.01 from episode 229: the exploit path
+        ("exponential", {"scheduler": {"kind": "exponential", "decay_rate": 0.98}, "episodes": 400}),
+    ],
+)
+def test_four_live_dimensions_match_live_grid_digests(name, data, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**data, **LIVE_GRID}))
+    out = tmp_path / "results"
+    cli("run", "--config", str(config), "--jobs", "1", "--out", str(out))
+    assert digests(out) == LIVE_GRID_DIGESTS[name]
+    report(f"PASS golden outputs: the {name} run on the 3x3x6x6 grid matches live_grid_digests.json")
+
+
 def crossing_episode(curves, level=195.0):
     for i, value in enumerate(curves.mean_rolling):
         if value >= level:

@@ -440,6 +440,87 @@ def test_stalled_epsilon_matches_the_schedule_walk(data, stops_at):
         assert end == (pytest.approx(walk.epsilon, abs=1e-12), walk.reward_threshold)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        # the step (5e-324 - 0) / 264.6 rounds to 0.0
+        {
+            "environment": "chain",
+            "scheduler": {
+                "epsilon_start": 5e-324,
+                "reward_target": 264.6,
+                "reward_increment": 0.6079,
+                "reward_threshold_init": -86.5,
+            },
+        },
+        # the step is below half an ulp of 0.5
+        {"scheduler": {"epsilon_start": 0.5, "epsilon_min": 0.49999999999999994, "reward_increment": 2}},
+        # the step is half an ulp: the first decay ties to the even neighbour,
+        # where the second ties back to itself
+        {"scheduler": {"epsilon_start": 0.5 + 3 * 2**-53, "epsilon_min": 0.5, "reward_target": 6}},
+    ],
+    ids=["step-0", "step-below-half-ulp", "second-decay-ties"],
+)
+def test_a_decay_step_that_cannot_move_epsilon_is_rejected(data):
+    s = data["scheduler"]
+    schedule = RbedSchedule.for_target(
+        s.get("reward_target", 195.0), s["epsilon_start"], s.get("epsilon_min", 0.0)
+    )
+    walk = [schedule.epsilon]
+    for _ in range(3):
+        schedule = schedule.update(schedule.reward_threshold)
+        walk.append(schedule.epsilon)
+    assert walk[-1] == walk[-2] > schedule.epsilon_min  # the schedule would hold epsilon
+    with pytest.raises(ConfigError, match=r"^scheduler\.reward_target must give a decay step"):
+        config_from_dict(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    environment=st.sampled_from(sorted(MAX_RETURN)),
+    epsilons=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    reward_target=st.floats(0.0, 300.0, exclude_min=True),
+    # eighths, so every threshold the walk adds up is exact
+    eighths=st.tuples(st.integers(1, 64), st.integers(-800, 1600)),
+)
+def test_ladder_end_is_the_schedule_walk(environment, epsilons, reward_target, eighths):
+    # every decay the ladder affords, each paid for with the largest return,
+    # lowers epsilon until it is at its floor, and ladder_end says where the
+    # walk ends; a step that holds epsilon anywhere on the way is a config
+    # the loader rejects
+    epsilon_min, epsilon_start = epsilons
+    increment, threshold_init = eighths[0] / 8, eighths[1] / 8
+    scheduler = {
+        "epsilon_start": epsilon_start,
+        "epsilon_min": epsilon_min,
+        "reward_target": reward_target,
+        "reward_increment": increment,
+        "reward_threshold_init": threshold_init,
+    }
+    schedule = RbedSchedule.for_target(reward_target, epsilon_start, epsilon_min, increment, threshold_init)
+    top = MAX_RETURN[environment]
+    decays, holds = 0, False
+    while decays < math.ceil(reward_target) and schedule.reward_threshold <= top:
+        after = schedule.update(top)
+        holds = holds or epsilon_min < after.epsilon == schedule.epsilon
+        schedule, decays = after, decays + 1
+    try:
+        config = config_from_dict({"environment": environment, "scheduler": scheduler})
+    except ConfigError as exc:
+        assert str(exc).startswith("scheduler.reward_target must give a decay step")
+        # the loader tries two decays whether or not their thresholds are reachable
+        assert holds or decays < 2
+        return
+    assert not holds
+    end = ladder_end(config)
+    if epsilon_start == epsilon_min:
+        assert end is None
+        return
+    # the walk subtracts the rounded step once per decay, ladder_end scales it
+    assert end[0] == pytest.approx(schedule.epsilon, rel=0, abs=(decays + 4) * 2**-53)
+    assert end[1] == schedule.reward_threshold
+
+
 def test_run_experiment_preserves_seed_order():
     config = small_config(seeds=[11, 3, 7])
     results = run_experiment(config)
