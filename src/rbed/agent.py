@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from math import cos, sin
 from typing import Sequence
 
@@ -76,7 +75,6 @@ def _edges(clip: float, count: int) -> tuple[float, ...]:
     return tuple(edges)
 
 
-@dataclass(frozen=True)
 class Discretizer:
     """Maps a 4-dimensional continuous state to a flat bucket index.
 
@@ -99,21 +97,19 @@ class Discretizer:
     current cell and bisects a dimension only when its value leaves them.
     """
 
-    buckets: tuple[int, int, int, int]
-    clips: tuple[float, float, float, float]
-    # per dimension: the cell edges, the cell's mixed-radix stride, and each
-    # cell's bounds
-    edges: tuple = field(init=False, repr=False, compare=False)
-    strides: tuple = field(init=False, repr=False, compare=False)
-    lows: tuple = field(init=False, repr=False, compare=False)
-    highs: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("buckets", "clips", "edges", "strides", "lows", "highs")
 
-    def __post_init__(self) -> None:
-        edges = tuple(map(_edges, self.clips, self.buckets))
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "strides", tuple(math.prod(self.buckets[i + 1 :]) for i in range(4)))
-        object.__setattr__(self, "lows", tuple((-math.inf, *e) for e in edges))
-        object.__setattr__(self, "highs", tuple((*e, math.inf) for e in edges))
+    def __init__(
+        self, buckets: tuple[int, int, int, int], clips: tuple[float, float, float, float]
+    ) -> None:
+        self.buckets = buckets
+        self.clips = clips
+        # per dimension: the cell edges, the cell's mixed-radix stride, and
+        # each cell's bounds
+        self.edges = edges = tuple(map(_edges, clips, buckets))
+        self.strides = tuple(math.prod(buckets[i + 1 :]) for i in range(4))
+        self.lows = tuple((-math.inf, *e) for e in edges)
+        self.highs = tuple((*e, math.inf) for e in edges)
 
     @property
     def n_states(self) -> int:
@@ -230,7 +226,7 @@ def reference_episode(
         total += reward
         steps += 1
         s = s_next
-    return EpisodeRecord(episode=episode, total_reward=total, epsilon=epsilon, steps=steps)
+    return EpisodeRecord(episode, total, epsilon, steps)
 
 
 def _cartpole_episode(
@@ -342,4 +338,4 @@ def _cartpole_episode(
         n1 = nxt[1]
         row[a] += alpha * (1.0 + gamma * (n1 if n1 > n0 else n0) - row[a])  # a capped step bootstraps
         row = nxt
-    return EpisodeRecord(episode=episode, total_reward=float(steps), epsilon=epsilon, steps=steps)
+    return EpisodeRecord(episode, float(steps), epsilon, steps)

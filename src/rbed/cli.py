@@ -3,10 +3,11 @@
 A command imports the layers it runs, inside the command, and this module
 imports none at its top. Each process compiles and executes every module it
 imports, so ``rbed plot`` loads only the emitter, the metrics and the chart
-writer (and no ``dataclasses``), and ``run`` and ``compare`` load no chart
-writer. ``run`` and ``compare`` import the emitter only once their seed-runs
-have returned: a worker process forked during the seed-runs then holds no
-copy of a module it never uses.
+writer, and ``run`` and ``compare`` load no chart writer. No command loads
+``dataclasses`` (nor the ``inspect`` behind it): rbed's classes with fields
+are ``NamedTuple``s or plain classes. ``run`` and ``compare`` import the
+emitter only once their seed-runs have returned: a worker process forked
+during the seed-runs then holds no copy of a module it never uses.
 """
 
 from __future__ import annotations
@@ -42,9 +43,7 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def _apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    from dataclasses import replace  # loaded already: rbed.config uses it
-
-    return replace(config, **overrides) if overrides else config
+    return config._replace(**overrides) if overrides else config
 
 
 def _warn_about_ladder(name: str, config: ExperimentConfig) -> None:

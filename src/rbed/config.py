@@ -3,25 +3,26 @@
 ``{}`` is a valid config and resolves to the default benchmark setup:
 reward-based decay on cart-pole, 500 episodes, seeds 1..20.
 
-Each field is declared once, below, with its bounds in the field metadata.
-Three walks over ``dataclasses.fields`` parse, validate and serialise every
-config class, so a field added here needs no other code. The walks read
-each ``Field.type``, so this module must not postpone the evaluation of
-annotations (no ``from __future__ import annotations``).
+The config classes are ``NamedTuple``s. Each field is declared once, below,
+as ``Annotated[type, bounds]`` through ``_field``. Three walks over
+``_declared`` parse, validate and serialise every config class, so a field
+added here needs no other code. The walks read each annotation, so this
+module must not postpone the evaluation of annotations (no ``from __future__
+import annotations``).
 
 The check runs once, when an ``ExperimentConfig`` is built: parsed,
-constructed directly or made by ``dataclasses.replace``. A nested scheduler
-or agent config is checked as a field of it, so an error names its path
-(``scheduler.decay_rate``). Code that takes a built config never checks it
-again.
+constructed directly or made by ``_replace`` (or ``copy.replace`` on Python
+3.13+). A nested scheduler or agent config is checked as a field of it, so
+an error names its path (``scheduler.decay_rate``). Code that takes a built
+config never checks it again.
 """
 
+import functools
 import json
 import math
 import operator
-from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, ClassVar, Optional, Union, get_args, get_origin
+from typing import Annotated, Any, Iterable, NamedTuple, Optional, Union, get_args, get_origin
 
 from .envs import MAX_STEPS, THETA_THRESHOLD
 from .schedules import ConstantSchedule, ExponentialSchedule, RbedSchedule
@@ -68,26 +69,39 @@ def parse_seed_spec(spec: str) -> tuple[int, ...]:
         raise ConfigError(f"bad seed list {spec!r}") from exc
 
 
-def _field(default: Any, **bounds: Any) -> Any:
-    """A config field and its bounds.
+def _field(kind: Any, **bounds: Any) -> Any:
+    """The annotation of a config field: its type and its bounds.
 
     Bounds are ``ge``/``gt``/``le``/``lt`` (a number, or the name of a
     sibling field), ``choices``, and ``from_str`` (a parser for a JSON
     string standing in for a list). On a tuple field they apply to each item,
     and ``max_product`` bounds the product of the items.
     """
-    return field(default=default, metadata=bounds)
+    return Annotated[kind, bounds]
 
 
-@dataclass(frozen=True)
-class RbedConfig:
-    kind: ClassVar[str] = "rbed"
-    epsilon_start: float = _field(1.0, ge=0.0, le=1.0)
-    epsilon_min: float = _field(0.0, ge=0.0, le="epsilon_start")
+@functools.cache
+def _declared(cls: type) -> tuple[tuple[str, Any, dict], ...]:
+    """Each field of a config class, in order: its name, type and bounds."""
+    # the NamedTuple class that made the fields holds their annotations,
+    # not a subclass of it (ExperimentConfig)
+    hints = next(c for c in cls.__mro__ if "_fields" in vars(c)).__annotations__
+    return tuple((name, hints[name].__origin__, hints[name].__metadata__[0]) for name in cls._fields)
+
+
+def _is_config(obj: Any) -> bool:
+    """Whether ``obj`` is a config class or a config (a ``NamedTuple``)."""
+    return hasattr(obj, "_fields")
+
+
+class RbedConfig(NamedTuple):
+    kind = "rbed"
+    epsilon_start: _field(float, ge=0.0, le=1.0) = 1.0
+    epsilon_min: _field(float, ge=0.0, le="epsilon_start") = 0.0
     # counts the decays from epsilon_start to epsilon_min, not reward: see ladder_end
-    reward_target: float = _field(195.0, gt=0.0)
-    reward_increment: float = _field(1.0, gt=0.0)
-    reward_threshold_init: float = 0.0
+    reward_target: _field(float, gt=0.0) = 195.0
+    reward_increment: _field(float, gt=0.0) = 1.0
+    reward_threshold_init: _field(float) = 0.0
 
     def schedule(self) -> RbedSchedule:
         return RbedSchedule.for_target(
@@ -99,14 +113,13 @@ class RbedConfig:
         )
 
 
-@dataclass(frozen=True)
-class ExponentialConfig:
-    kind: ClassVar[str] = "exponential"
-    epsilon_start: float = _field(1.0, ge=0.0, le=1.0)
+class ExponentialConfig(NamedTuple):
+    kind = "exponential"
+    epsilon_start: _field(float, ge=0.0, le=1.0) = 1.0
     # The baseline's constants are artifact conventions, not established
     # reference values; they are exposed here precisely so they can be varied.
-    decay_rate: float = _field(0.995, gt=0.0, lt=1.0)
-    epsilon_min: float = _field(0.01, ge=0.0, le="epsilon_start")
+    decay_rate: _field(float, gt=0.0, lt=1.0) = 0.995
+    epsilon_min: _field(float, ge=0.0, le="epsilon_start") = 0.01
 
     def schedule(self) -> ExponentialSchedule:
         return ExponentialSchedule(
@@ -114,10 +127,9 @@ class ExponentialConfig:
         )
 
 
-@dataclass(frozen=True)
-class ConstantConfig:
-    kind: ClassVar[str] = "constant"
-    epsilon: float = _field(1.0, ge=0.0, le=1.0)
+class ConstantConfig(NamedTuple):
+    kind = "constant"
+    epsilon: _field(float, ge=0.0, le=1.0) = 1.0
 
     def schedule(self) -> ConstantSchedule:
         return ConstantSchedule(epsilon=self.epsilon)
@@ -128,26 +140,43 @@ SchedulerConfig = Union[RbedConfig, ExponentialConfig, ConstantConfig]
 _SCHEDULER_KINDS = {cls.kind: cls for cls in get_args(SchedulerConfig)}
 
 
-@dataclass(frozen=True)
-class AgentConfig:
-    alpha: float = _field(0.26, gt=0.0, le=1.0)
-    gamma: float = _field(1.0, gt=0.0, le=1.0)
-    buckets: tuple[int, int, int, int] = _field(DEFAULT_BUCKETS, ge=1, max_product=MAX_STATES)
-    clips: tuple[float, float, float, float] = _field(DEFAULT_CLIPS, gt=0.0, le=MAX_CLIP)
+class AgentConfig(NamedTuple):
+    alpha: _field(float, gt=0.0, le=1.0) = 0.26
+    gamma: _field(float, gt=0.0, le=1.0) = 1.0
+    buckets: _field(tuple[int, int, int, int], ge=1, max_product=MAX_STATES) = DEFAULT_BUCKETS
+    clips: _field(tuple[float, float, float, float], gt=0.0, le=MAX_CLIP) = DEFAULT_CLIPS
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    scheduler: SchedulerConfig = field(default_factory=RbedConfig)
-    agent: AgentConfig = field(default_factory=AgentConfig)
-    episodes: int = _field(500, ge=1)
+class _ExperimentFields(NamedTuple):
+    scheduler: _field(SchedulerConfig) = RbedConfig()
+    agent: _field(AgentConfig) = AgentConfig()
+    episodes: _field(int, ge=1) = 500
     # A variable-length tuple is a nonempty list of distinct items.
-    seeds: tuple[int, ...] = _field(tuple(range(1, 21)), ge=0, lt=2**64, from_str=parse_seed_spec)
-    environment: str = _field("cartpole", choices=("cartpole", "chain"))
-    chain_states: int = _field(5, ge=2, le=MAX_STATES)
+    seeds: _field(tuple[int, ...], ge=0, lt=2**64, from_str=parse_seed_spec) = tuple(range(1, 21))
+    environment: _field(str, choices=("cartpole", "chain")) = "cartpole"
+    chain_states: _field(int, ge=2, le=MAX_STATES) = 5
 
-    def __post_init__(self) -> None:
-        validate_config(self)
+
+class ExperimentConfig(_ExperimentFields):
+    """A whole experiment, checked by ``validate_config`` whenever it is built.
+
+    A ``NamedTuple`` class body may not define ``__new__``, hence the
+    subclass. The base ``_make`` calls ``tuple.__new__`` and would skip the
+    check; this one builds through ``__new__``. ``_replace`` builds through
+    ``_make``, and so does ``copy.replace`` on Python 3.13+, which calls
+    ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "ExperimentConfig":
+        config = super().__new__(cls, *args, **kwargs)
+        validate_config(config)
+        return config
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "ExperimentConfig":
+        return cls(*iterable)
 
 
 _COMPARISONS = {
@@ -204,29 +233,29 @@ def _check_items(
 
 
 def _check_fields(config: Any, where: str) -> None:
-    for f in fields(config):
-        value, name = getattr(config, f.name), _join(where, f.name)
-        if get_origin(f.type) is Union or is_dataclass(f.type):
-            classes = get_args(f.type) or (f.type,)
+    for field, hint, bounds in _declared(type(config)):
+        value, name = getattr(config, field), _join(where, field)
+        if get_origin(hint) is Union or _is_config(hint):
+            classes = get_args(hint) or (hint,)
             if not isinstance(value, classes):
                 wanted = " or ".join(c.__name__ for c in classes)
                 raise ConfigError(f"{name} must be {wanted}, got {value!r}")
             _check_fields(value, name)
-        elif get_origin(f.type) is tuple:
-            items = get_args(f.type)
+        elif get_origin(hint) is tuple:
+            items = get_args(hint)
             if not isinstance(value, tuple):
                 raise ConfigError(f"{name} must be a tuple, got {value!r}")
-            _check_items(items[0], value, f.metadata, config, name, indexed=True)
+            _check_items(items[0], value, bounds, config, name, indexed=True)
             if items[-1] is not Ellipsis:
                 if len(value) != len(items):
                     raise ConfigError(f"{name} must have {len(items)} items, got {value!r}")
             elif not value or len(set(value)) != len(value):
                 raise ConfigError(f"{name} must be nonempty with distinct items, got {value!r}")
-            limit = f.metadata.get("max_product")
+            limit = bounds.get("max_product")
             if limit is not None and math.prod(value) > limit:
                 raise ConfigError(f"{name} must multiply to <= {limit}, got {value!r}")
         else:
-            _check_items(f.type, (value,), f.metadata, config, name, indexed=False)
+            _check_items(hint, (value,), bounds, config, name, indexed=False)
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -278,7 +307,7 @@ def _parse_value(hint: Any, value: Any, bounds: dict, name: str) -> Any:
                 f"{name}.kind must be one of {sorted(_SCHEDULER_KINDS)}, got {kind!r}"
             )
         return _parse(_SCHEDULER_KINDS[kind], value, name)
-    if is_dataclass(hint):
+    if _is_config(hint):
         return _parse(hint, value, name)
     if get_origin(hint) is tuple:
         if isinstance(value, str) and "from_str" in bounds:
@@ -302,14 +331,13 @@ def _parse_float(value: Any, name: str) -> Any:
 
 def _parse(cls: type, data: Any, where: str) -> Any:
     d = _require_mapping(data, where or "config")
-    names = {f.name for f in fields(cls)}
-    unknown = sorted(set(d) - names - ({"kind"} if hasattr(cls, "kind") else set()))
+    unknown = sorted(set(d) - set(cls._fields) - ({"kind"} if hasattr(cls, "kind") else set()))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where or 'config'}: {', '.join(unknown)}")
     return cls(**{
-        f.name: _parse_value(f.type, d[f.name], f.metadata, _join(where, f.name))
-        for f in fields(cls)
-        if f.name in d
+        field: _parse_value(hint, d[field], bounds, _join(where, field))
+        for field, hint, bounds in _declared(cls)
+        if field in d
     })
 
 
@@ -378,11 +406,11 @@ def ladder_end(config: ExperimentConfig) -> Optional[tuple[float, float]]:
 def config_to_dict(config: Any) -> dict:
     """Fully resolved form, round-trippable through config_from_dict."""
     out = {"kind": config.kind} if hasattr(config, "kind") else {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if is_dataclass(value):
+    for field, _, _ in _declared(type(config)):
+        value = getattr(config, field)
+        if _is_config(value):
             value = config_to_dict(value)
         elif isinstance(value, tuple):
             value = list(value)
-        out[f.name] = value
+        out[field] = value
     return out

@@ -1,9 +1,9 @@
 """Per-episode series analytics: rolling averages, the solved criterion, and
 cross-run aggregation. Episode indices are 1-based everywhere.
 
-The records are ``NamedTuple``s, not dataclasses: ``rbed plot`` reads them
-and so never imports ``dataclasses`` (with ``inspect``, ``ast`` and
-``tokenize`` behind it), and a worker's results pickle smaller."""
+The records are ``NamedTuple``s, as are rbed's configs, schedules and
+reports: no rbed command imports ``dataclasses`` (with ``inspect``, ``ast``
+and ``tokenize`` behind it), and a worker's results pickle smaller."""
 
 from __future__ import annotations
 

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import os
 import reprlib
-from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .agent import Discretizer, new_q_table, run_episode
 from .config import ConfigError, ExperimentConfig
@@ -179,8 +178,7 @@ def first_reaching(records, mark: float = REACH_MARK) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class ArmReport:
+class ArmReport(NamedTuple):
     """Summary of one configuration's runs within a comparison."""
 
     label: str
@@ -194,8 +192,7 @@ class ArmReport:
     curves: AggregateCurves
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     a: ArmReport
     b: ArmReport
     solve_ratio: Optional[float]
@@ -227,11 +224,11 @@ def compare(
     ``ExperimentConfig`` must match so the comparison is like for like.
     """
     differ = [
-        f"{f.name} ({reprlib.repr(getattr(config_a, f.name))}"
-        f" != {reprlib.repr(getattr(config_b, f.name))})"
-        for f in fields(ExperimentConfig)
-        if f.name not in ("scheduler", "agent")
-        and getattr(config_a, f.name) != getattr(config_b, f.name)
+        f"{name} ({reprlib.repr(getattr(config_a, name))}"
+        f" != {reprlib.repr(getattr(config_b, name))})"
+        for name in ExperimentConfig._fields
+        if name not in ("scheduler", "agent")
+        and getattr(config_a, name) != getattr(config_b, name)
     ]
     if differ:
         raise ConfigError(f"the two configs differ beyond scheduler and agent: {', '.join(differ)}")

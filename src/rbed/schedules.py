@@ -13,11 +13,10 @@ before any of these is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class RbedSchedule:
+class RbedSchedule(NamedTuple):
     """Reward-based epsilon decay.
 
     Epsilon is lowered by a fixed ``change`` only when the last episode's
@@ -67,7 +66,7 @@ class RbedSchedule:
         eps = self.epsilon - self.change
         if eps < self.epsilon_min:
             eps = self.epsilon_min
-        # the constructor, not dataclasses.replace, which walks fields() per call
+        # the constructor, not _replace, which maps every field through a dict
         return RbedSchedule(
             eps,
             self.epsilon_min,
@@ -77,8 +76,7 @@ class RbedSchedule:
         )
 
 
-@dataclass(frozen=True)
-class ExponentialSchedule:
+class ExponentialSchedule(NamedTuple):
     """Multiply epsilon by a fixed rate below 1 every episode, floored at
     ``epsilon_min`` regardless of how the agent performed."""
 
@@ -93,8 +91,7 @@ class ExponentialSchedule:
         return ExponentialSchedule(eps, self.decay_rate, self.epsilon_min)
 
 
-@dataclass(frozen=True)
-class ConstantSchedule:
+class ConstantSchedule(NamedTuple):
     """Fixed exploration rate; updates are identity."""
 
     epsilon: float

@@ -1,6 +1,7 @@
 """Config parsing, experiment orchestration, file emission, and the CLI."""
 
 import argparse
+import copy
 import functools
 import json
 import math
@@ -11,7 +12,6 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import fields, replace
 from pathlib import Path
 from xml.sax.saxutils import escape as sax_escape
 
@@ -289,10 +289,50 @@ def test_validate_config_direct():
         ExperimentConfig(episodes=0)
     # parsing makes every JSON list a tuple, so only code can pass a list here
     with pytest.raises(ConfigError, match="^seeds must be a tuple, got \\[1, 2\\]$"):
-        replace(small_config(), seeds=[1, 2])
+        small_config()._replace(seeds=[1, 2])
     # a nested config is checked as a field of the config that holds it
     with pytest.raises(ConfigError, match="^scheduler.epsilon_start must be <= 1.0, got 2.0$"):
         ExperimentConfig(scheduler=RbedConfig(epsilon_start=2.0))
+
+
+def test_make_checks_the_config():
+    # NamedTuple's own _make calls tuple.__new__; ExperimentConfig's builds
+    # through __new__, and _replace and copy.replace build through _make
+    fields = list(small_config())
+    fields[ExperimentConfig._fields.index("seeds")] = [1, 2]
+    with pytest.raises(ConfigError, match="^seeds must be a tuple, got \\[1, 2\\]$"):
+        ExperimentConfig._make(fields)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+def test_copy_replace_checks_the_config():
+    with pytest.raises(ConfigError, match="^seeds must be a tuple, got \\[1, 2\\]$"):
+        copy.replace(small_config(), seeds=[1, 2])
+
+
+@pytest.mark.parametrize("kind", ["rbed", "exponential", "constant"])
+def test_round_trip_keeps_each_config_class(kind):
+    # NamedTuples equal any tuple of the same values, so check the classes too
+    config = small_config(scheduler={"kind": kind})
+    back = config_from_dict(config_to_dict(config))
+    assert back == config
+    assert type(back) is ExperimentConfig
+    assert type(back.scheduler) is type(config.scheduler) is {
+        "rbed": RbedConfig, "exponential": ExponentialConfig, "constant": ConstantConfig
+    }[kind]
+    assert type(back.agent) is AgentConfig
+
+
+def test_default_config_repr():
+    # error messages embed config reprs, so the form is part of the interface
+    assert repr(ExperimentConfig()) == (
+        "ExperimentConfig(scheduler=RbedConfig(epsilon_start=1.0, epsilon_min=0.0,"
+        " reward_target=195.0, reward_increment=1.0, reward_threshold_init=0.0),"
+        " agent=AgentConfig(alpha=0.26, gamma=1.0, buckets=(1, 1, 7, 9),"
+        " clips=(2.4, 3.0, 0.20943951023931953, 1.7)), episodes=500,"
+        " seeds=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20),"
+        " environment='cartpole', chain_states=5)"
+    )
 
 
 @pytest.fixture
@@ -745,26 +785,32 @@ def test_first_reaching():
     assert first_reaching([]) is None
 
 
-PROTOCOL_FIELDS = [f for f in fields(ExperimentConfig) if f.name not in ("scheduler", "agent")]
+# each protocol field's bounds by name, as rbed.config declares them
+PROTOCOL_FIELDS = {
+    name: bounds
+    for name, _, bounds in rbed.config._declared(ExperimentConfig)
+    if name not in ("scheduler", "agent")
+}
 
 
-def _other_value(field, value):
-    """A value for ``field`` that differs from ``value`` and still validates."""
-    if "choices" in field.metadata:
-        return next(choice for choice in field.metadata["choices"] if choice != value)
+def _other_value(bounds, value):
+    """A value for a field with ``bounds`` that differs from ``value`` and
+    still validates."""
+    if "choices" in bounds:
+        return next(choice for choice in bounds["choices"] if choice != value)
     if isinstance(value, tuple):
         return value + (max(value) + 1,)
     return value + 1
 
 
-@pytest.mark.parametrize("field", PROTOCOL_FIELDS, ids=lambda field: field.name)
-def test_compare_rejects_mismatched_protocols(field):
+@pytest.mark.parametrize("name", PROTOCOL_FIELDS)
+def test_compare_rejects_mismatched_protocols(name):
     base = small_config()  # cart-pole, so chain_states is unused and must still match
-    other = replace(base, **{field.name: _other_value(field, getattr(base, field.name))})
+    other = base._replace(**{name: _other_value(PROTOCOL_FIELDS[name], getattr(base, name))})
     validate_config(other)
     with pytest.raises(ConfigError) as exc:
         compare(base, other)
-    assert [f.name for f in PROTOCOL_FIELDS if f.name in str(exc.value)] == [field.name]
+    assert [f for f in PROTOCOL_FIELDS if f in str(exc.value)] == [name]
 
 
 def test_compare_names_every_differing_field_briefly():
@@ -1400,11 +1446,11 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     plot = ["rbed", "rbed.cli", "rbed.emit", "rbed.metrics", "rbed.svgchart"]
     assert _rbed(loaded["plot a run"]) == plot
     assert _rbed(loaded["plot a compare"]) == plot
-    # the records are NamedTuples: a plot loads no dataclasses, nor the
-    # inspect that dataclasses imports
+    # rbed's classes are NamedTuples or plain classes: no command loads
+    # dataclasses, nor the inspect that dataclasses imports
     for name in ("dataclasses", "inspect"):
-        assert name not in loaded["plot a run"]
-        assert name not in loaded["plot a compare"]
+        for modules in [*loaded.values(), pooled]:
+            assert name not in modules
     assert [_unused(modules) for modules in loaded.values()] == [[]] * len(commands)
     # stdlib only: every module a command loads is rbed's or the standard
     # library's (__mp_main__ is the alias multiprocessing gives __main__)

@@ -5,7 +5,6 @@ updates epsilon is start - k*change and the threshold has risen k times.
 Property tests drive randomized reward sequences against that ledger.
 """
 
-import dataclasses
 import math
 
 from hypothesis import given, settings, strategies as st
