@@ -95,28 +95,22 @@ def _receive(k: int, process, conn):
     return message
 
 
-def _run_tasks(configs: tuple[ExperimentConfig, ...], jobs: int) -> list[RunResult]:
-    """Run every seed of each config in ``workers`` processes: at most ``jobs``,
-    at most one per usable CPU and at most one per seed-run. The calling
-    process is one of them. It starts the others and, between its own
-    seed-runs, hands each the index of the next seed-run, so a faster
-    process runs more of them. The hand-out goes seed by seed, alternating
-    configs (each config's first seed, then each one's second, and so on;
-    a config whose seeds have run out drops out), so a started process
-    that takes two indices up front runs one of each arm, not two of the
-    arm whose episodes are shorter. Each started process sends its results
-    in one message at the end. Results follow config then seed order, so
-    parallel output equals sequential output."""
-    tasks = [(config, seed) for config in configs for seed in config.seeds]
+def _run_tasks(
+    configs: tuple[ExperimentConfig, ...], seeds: tuple[int, ...], jobs: int
+) -> list[list[RunResult]]:
+    """Run every config on every seed in ``workers`` processes: at most
+    ``jobs``, at most one per usable CPU and at most one per seed-run. The
+    calling process is one of them. It starts the others and, between its
+    own seed-runs, hands each the index of the next seed-run, so a faster
+    process runs more of them; with one process it starts none and runs
+    every seed-run in turn. The seed-runs go seed by seed, configs in turn
+    (each config's first seed, then each one's second, and so on), so a
+    started process that takes two indices up front runs one of each arm,
+    not two of the arm whose episodes are shorter. Each started process
+    sends its results in one message at the end. Returns one list per
+    config, in seed order, so parallel output equals sequential output."""
+    tasks = [(config, seed) for seed in seeds for config in configs]
     workers = min(jobs, len(tasks), usable_cpus())
-    if workers <= 1:
-        return [run_single_seed(config, seed) for config, seed in tasks]
-    # imported here: serial runs never load multiprocessing
-    import multiprocessing
-
-    # task indices by seed position, configs in turn (the sort is stable)
-    position = [p for config in configs for p in range(len(config.seeds))]
-    order = sorted(range(len(tasks)), key=position.__getitem__)
     results = [None] * len(tasks)
     next_task = 0
     started = {}  # the caller's end of each worker's pipe: (k, process)
@@ -124,6 +118,9 @@ def _run_tasks(configs: tuple[ExperimentConfig, ...], jobs: int) -> list[RunResu
 
     try:
         for k in range(1, workers):
+            # imported here: serial runs never load multiprocessing
+            import multiprocessing
+
             conn, child_conn = multiprocessing.Pipe()
             process = multiprocessing.Process(
                 target=_serve, args=(tasks, child_conn), name=f"rbed-worker-{k}"
@@ -139,13 +136,12 @@ def _run_tasks(configs: tuple[ExperimentConfig, ...], jobs: int) -> list[RunResu
                     _receive(*worker, conn)  # the index of a seed-run it finished
                     held[conn] -= 1
                 while held[conn] < min(2, len(tasks) - next_task):
-                    _hand(conn, order[next_task])
+                    _hand(conn, next_task)
                     next_task += 1
                     held[conn] += 1
             if next_task == len(tasks):
                 break
-            i = order[next_task]
-            results[i] = run_single_seed(*tasks[i])
+            results[next_task] = run_single_seed(*tasks[next_task])
             next_task += 1
         for conn in started:
             _hand(conn, None)
@@ -162,12 +158,12 @@ def _run_tasks(configs: tuple[ExperimentConfig, ...], jobs: int) -> list[RunResu
         for conn, (_, process) in started.items():
             process.join()
             conn.close()
-    return results
+    return [results[c :: len(configs)] for c in range(len(configs))]
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     """Run every seed; results follow the config's seed order."""
-    return _run_tasks((config,), jobs)
+    return _run_tasks((config,), config.seeds, jobs)[0]
 
 
 def first_reaching(records, mark: float = REACH_MARK) -> Optional[int]:
@@ -221,7 +217,8 @@ def compare(
     """Run two configurations over the identical protocol and summarize.
 
     Only the scheduler and agent may differ; every other field of
-    ``ExperimentConfig`` must match so the comparison is like for like.
+    ``ExperimentConfig`` must match so the comparison is like for like, and
+    both arms run on the seed tuple they share, as one task list.
     """
     differ = [
         f"{name} ({reprlib.repr(getattr(config_a, name))}"
@@ -236,12 +233,11 @@ def compare(
     kind_b = config_b.scheduler.kind
     label_a = kind_a if kind_a != kind_b else f"a:{kind_a}"
     label_b = kind_b if kind_a != kind_b else f"b:{kind_b}"
-    # one task list over both arms, handed out seed by seed, alternating
-    # arms, to whichever process is free, so no process idles while another
-    # runs the slower arm; results come back arm a's seeds then arm b's
-    runs = _run_tasks((config_a, config_b), jobs)
-    n = len(config_a.seeds)
-    arm_a = _arm_report(label_a, config_a, runs[:n])
-    arm_b = _arm_report(label_b, config_b, runs[n:])
+    # one task list over both arms on their one seed tuple, handed out seed
+    # by seed, arms in turn, to whichever process is free, so no process
+    # idles while another runs the slower arm
+    runs_a, runs_b = _run_tasks((config_a, config_b), config_a.seeds, jobs)
+    arm_a = _arm_report(label_a, config_a, runs_a)
+    arm_b = _arm_report(label_b, config_b, runs_b)
     ratio = arm_a.solve_count / arm_b.solve_count if arm_b.solve_count > 0 else None
     return ComparisonReport(a=arm_a, b=arm_b, solve_ratio=ratio)

@@ -46,8 +46,10 @@ class Series(_SeriesFields):
 
 
 def _nice_step(span: float) -> float:
+    """The least of 1, 2, 5 or 10 times a power of ten at or above
+    ``span / TICKS``; 0.0 where that power of ten underflows."""
     raw = span / TICKS
-    magnitude = 10.0 ** math.floor(math.log10(raw))
+    magnitude = 10.0 ** math.floor(math.log10(raw)) if raw else 0.0
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * magnitude:
             return mult * magnitude
@@ -104,8 +106,11 @@ def line_chart(
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
     pad = 0.04 * (y_hi - y_lo)
-    if not math.isfinite((y_hi + pad) - (y_lo - pad)):
+    span = (y_hi + pad) - (y_lo - pad)
+    if not math.isfinite(span):
         raise ValueError(f"line_chart cannot chart y from {y_lo:g} to {y_hi:g}: the padded span overflows")
+    if not _nice_step(span):
+        raise ValueError(f"line_chart cannot chart y from {y_lo:g} to {y_hi:g}: the padded span underflows")
     y_lo -= pad
     y_hi += pad
 

@@ -618,14 +618,15 @@ def test_pool_size_is_capped_at_cores_and_tasks(monkeypatch, started_processes, 
 
 
 def test_three_processes_keep_config_then_seed_order(monkeypatch):
-    # 7 seed-runs of two arms over 3 processes, whose results arrive out of order
+    # 8 seed-runs of two arms over 3 processes, whose results arrive out of order
     monkeypatch.setattr(rbed.runner, "usable_cpus", lambda: 3)
+    seeds = (4, 1, 7, 2)
     configs = (
-        small_config(seeds=[4, 1, 7, 2], episodes=3),
-        small_config(seeds=[9, 3, 5], episodes=3, scheduler={"kind": "exponential"}),
+        small_config(seeds=seeds, episodes=3),
+        small_config(seeds=seeds, episodes=3, scheduler={"kind": "exponential"}),
     )
-    serial = [run_single_seed(config, seed) for config in configs for seed in config.seeds]
-    assert rbed.runner._run_tasks(configs, jobs=3) == serial
+    serial = [[run_single_seed(config, seed) for seed in seeds] for config in configs]
+    assert rbed.runner._run_tasks(configs, seeds, jobs=3) == serial
 
 
 # read without fixing the start method, which get_start_method() would do
@@ -1360,10 +1361,14 @@ def test_cli_plot_missing_inputs_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_plot_huge_value_exits_1(tmp_path, capsys):
-    (tmp_path / "aggregate.csv").write_text(f"{AGGREGATE_HEADER}\n1,1.7e308,,1.0\n", encoding="utf-8")
+# the padded y-span overflows; or it underflows, so the tick step would
+# come from log10(0) (1e-323) or be 0 (2e-323)
+@pytest.mark.parametrize("value", ["1.7e308", "1e-323", "2e-323"])
+def test_cli_plot_huge_value_exits_1(tmp_path, capsys, value):
+    (tmp_path / "aggregate.csv").write_text(f"{AGGREGATE_HEADER}\n1,{value},,1.0\n", encoding="utf-8")
     assert main(["plot", "--in", str(tmp_path), "--out", str(tmp_path / "figs")]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error: line_chart cannot chart y from 0 to ") and err.count("\n") == 1
 
 
 def test_public_api_surface():
