@@ -7,12 +7,15 @@ writer, and ``run`` and ``compare`` load no chart writer. No command loads
 ``dataclasses`` (nor the ``inspect`` behind it): rbed's classes with fields
 are ``NamedTuple``s or plain classes. ``run`` and ``compare`` import the
 emitter only once their seed-runs have returned: a worker process forked
-during the seed-runs then holds no copy of a module it never uses.
+during the seed-runs then holds no copy of a module it never uses. So they
+check before the seed-runs only that ``--out`` is not a file; the emitter
+refuses, after them, a directory holding files it does not write.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -71,6 +74,12 @@ def _warn_about_ladder(name: str, config: ExperimentConfig) -> None:
         )
 
 
+def _check_out(out: str) -> None:
+    """Refuse, before any seed-run, an ``--out`` that no layout can go to."""
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise FileExistsError(f"{out} exists and is not a directory")
+
+
 def _summarize_arm(arm: ArmReport) -> str:
     mean_solve = f"{arm.mean_solve_episode:.1f}" if arm.mean_solve_episode is not None else "-"
     mean_200 = f"{arm.mean_first_200:.1f}" if arm.mean_first_200 is not None else "-"
@@ -86,6 +95,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     config = _apply_overrides(_load(args.config), _overrides(args))
     _warn_about_ladder(args.config or "the default config", config)
+    _check_out(args.out)
     results = run_experiment(config, jobs=args.jobs or usable_cpus())
     from .emit import emit_results  # after the seed-runs: see the module docstring
 
@@ -103,6 +113,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config_b = _apply_overrides(_load(args.config_b), overrides)
     _warn_about_ladder(f"arm a ({args.config_a})", config_a)
     _warn_about_ladder(f"arm b ({args.config_b})", config_b)
+    _check_out(args.out)
     report = compare(config_a, config_b, jobs=args.jobs or usable_cpus())
     from .emit import emit_compare  # after the seed-runs: see the module docstring
 

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .metrics import SOLVED_THRESHOLD, SOLVED_WINDOW, AggregateCurves, RunResult, aggregate_runs
 
@@ -26,17 +27,88 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_files(out_dir: str | Path, files: Iterable[tuple[str, str]]) -> list[Path]:
-    """Write ``(relative path, text)`` pairs under ``out_dir``, creating
-    parent directories; returns the written paths in order. ``files`` is
-    consumed one pair at a time, so a generator holds only one text."""
-    out = Path(out_dir)
+def _run_file(name: str) -> bool:
+    """Whether the run layout writes ``name``: ``run_<seed>.csv`` or ``aggregate.csv``."""
+    seed = name[4:-4] if name.startswith("run_") and name.endswith(".csv") else ""
+    return name == "aggregate.csv" or seed.isdecimal()
+
+
+# What a command may replace in an existing output directory: a test for the
+# names of its files, and the subdirectories it may hold, each with the test
+# for the names of their files. ``run`` and ``compare`` may replace each
+# other's layout and the figures a plot left in it; ``plot`` only figures.
+_RESULTS_LAYOUT = (
+    lambda name: name == "report.json" or _run_file(name),
+    {"a": _run_file, "b": _run_file, "figures": FIGURE_NAMES.__contains__},
+)
+_FIGURES_LAYOUT = (FIGURE_NAMES.__contains__, {})
+
+
+def _foreign(path: str, files: Callable[[str], bool], dirs: dict[str, Callable[[str], bool]]) -> Optional[str]:
+    """The first entry of directory ``path``, by name, that is neither a file
+    whose name ``files`` accepts nor a directory named in ``dirs`` that holds
+    only files its test accepts; None if there is none."""
+    with os.scandir(path) as entries:
+        for entry in sorted(entries, key=lambda entry: entry.name):
+            if entry.name in dirs and entry.is_dir(follow_symlinks=False):
+                inner = _foreign(entry.path, dirs[entry.name], {})
+                if inner is not None:
+                    return inner
+            elif not (files(entry.name) and entry.is_file(follow_symlinks=False)):
+                return entry.path
+    return None
+
+
+def _remove_tree(path: str) -> None:
+    """Delete directory ``path`` and the files and directories under it."""
+    for root, dirs, names in os.walk(path, topdown=False):
+        for name in names:
+            os.remove(os.path.join(root, name))
+        for name in dirs:
+            os.rmdir(os.path.join(root, name))
+    os.rmdir(path)
+
+
+def _write_files(out_dir: str | Path, files: Iterable[tuple[str, str]], layout: tuple) -> list[Path]:
+    """Write ``(relative path, text)`` pairs as the whole of ``out_dir``;
+    returns the written paths in order. ``files`` is consumed one pair at a
+    time, so a generator holds only one text.
+
+    The files go to a staging directory beside ``out_dir``, which then takes
+    its place by rename, so ``out_dir`` holds the old tree or the new one and
+    never a mix. An existing ``out_dir`` is replaced only if ``layout``
+    (``_RESULTS_LAYOUT`` or ``_FIGURES_LAYOUT``) accepts all it holds; else
+    nothing is written or deleted. If ``files`` raises, the old tree stays
+    and the staging directory is removed."""
+    out = os.path.realpath(out_dir)
+    exists = os.path.lexists(out)
+    foreign = _foreign(out, *layout) if exists else None  # a file raises NotADirectoryError
+    if foreign is not None:
+        raise FileExistsError(f"refusing to replace {out_dir}: {foreign} is not a file this command writes there")
+    parent, base = os.path.split(out)
+    os.makedirs(parent, exist_ok=True)
+    stage, aside = (os.path.join(parent, f".{base}.rbed-{os.getpid()}-{tag}") for tag in ("new", "old"))
+    os.mkdir(stage)
     written = []
-    for name, text in files:
-        path = out / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="\n")
-        written.append(path)
+    try:
+        for name, text in files:
+            path = Path(stage, name)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8", newline="\n")
+            written.append(Path(out_dir, name))
+        if exists:
+            os.rename(out, aside)
+        try:
+            os.rename(stage, out)
+        except BaseException:
+            if exists:
+                os.rename(aside, out)
+            raise
+    except BaseException:
+        _remove_tree(stage)
+        raise
+    if exists:
+        _remove_tree(aside)
     return written
 
 
@@ -67,7 +139,7 @@ def _run_files(
 
 def emit_results(results: Sequence[RunResult], out_dir: str | Path) -> list[Path]:
     """Write one CSV per run plus the aggregate CSV; returns written paths."""
-    return _write_files(out_dir, _run_files("", results, aggregate_runs(results)))
+    return _write_files(out_dir, _run_files("", results, aggregate_runs(results)), _RESULTS_LAYOUT)
 
 
 def _arm_to_dict(arm: ArmReport) -> dict:
@@ -102,7 +174,7 @@ def emit_compare(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
             yield from _run_files(prefix, arm.runs, arm.curves)
         yield "report.json", json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
 
-    return _write_files(out_dir, files())
+    return _write_files(out_dir, files(), _RESULTS_LAYOUT)
 
 
 def render_figures(labeled_curves: Sequence[tuple[str, AggregateCurves]]) -> dict[str, str]:
@@ -112,25 +184,20 @@ def render_figures(labeled_curves: Sequence[tuple[str, AggregateCurves]]) -> dic
     if not labeled_curves:
         raise ValueError("render_figures needs at least one curve set")
 
-    def as_series(label: str, first_x: int, ys: Sequence[float]) -> Series:
-        return Series(label=label, xs=list(range(first_x, first_x + len(ys))), ys=list(ys))
-
     reward = line_chart(
         title="Mean episode reward",
         x_label="episode",
         y_label="reward",
-        series=[as_series(label, 1, c.mean_reward) for label, c in labeled_curves],
+        series=[Series(label, 1, c.mean_reward) for label, c in labeled_curves],
     )
-    rolling_series = [
-        as_series(label, c.window, c.mean_rolling) for label, c in labeled_curves if c.mean_rolling
-    ]
+    rolling_series = [Series(label, c.window, c.mean_rolling) for label, c in labeled_curves if c.mean_rolling]
     window = labeled_curves[0][1].window
     rolling = line_chart(
         title=f"Rolling mean reward (window {window})",
         x_label="episode",
         y_label=f"mean reward, last {window} episodes",
         # Too few episodes for a full window: chart just the reference level.
-        series=rolling_series or [Series(label="(no full window)", xs=[1.0], ys=[0.0])],
+        series=rolling_series or [Series("(no full window)", 1, [0.0])],
         ref_y=SOLVED_THRESHOLD,
         ref_label=f"solved ({SOLVED_THRESHOLD:g})",
     )
@@ -138,7 +205,7 @@ def render_figures(labeled_curves: Sequence[tuple[str, AggregateCurves]]) -> dic
         title="Exploration rate by episode",
         x_label="episode",
         y_label="epsilon",
-        series=[as_series(label, 1, c.mean_epsilon) for label, c in labeled_curves],
+        series=[Series(label, 1, c.mean_epsilon) for label, c in labeled_curves],
         y_max=1.0,
     )
     return dict(zip(FIGURE_NAMES, (reward, rolling, epsilon)))
@@ -221,4 +288,4 @@ def figures_from_dir(in_dir: str | Path, out_dir: str | Path) -> list[Path]:
         labeled = [(src.resolve().name, read_aggregate_csv(src / "aggregate.csv"))]
     else:
         raise ValueError(f"{src} contains neither report.json nor aggregate.csv")
-    return _write_files(out_dir, render_figures(labeled).items())
+    return _write_files(out_dir, render_figures(labeled).items(), _FIGURES_LAYOUT)

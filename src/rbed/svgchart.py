@@ -1,8 +1,10 @@
 """Minimal deterministic SVG line charts, no external dependencies.
 
 Output is a pure function of the input series: fixed canvas, fixed float
-formatting, no timestamps. Each data series renders as exactly one
-<polyline>; axes, grid, and reference lines use <line> elements.
+formatting, no timestamps. A ``Series(label, first_x, ys)`` draws ys[i] at
+x = ``first_x + i``: a curve over consecutive episodes needs no x list.
+Each series renders as exactly one <polyline>; axes, grid, and reference
+lines use <line> elements.
 """
 
 from __future__ import annotations
@@ -27,22 +29,12 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-class _SeriesFields(NamedTuple):
+class Series(NamedTuple):
+    """One labelled line: ``ys[i]`` is drawn at x = ``first_x + i``."""
+
     label: str
-    xs: Sequence[float]
+    first_x: int
     ys: Sequence[float]
-
-
-class Series(_SeriesFields):
-    """One labelled line. A ``NamedTuple`` body cannot define ``__new__``,
-    so the length check lives in this subclass."""
-
-    __slots__ = ()
-
-    def __new__(cls, label: str, xs: Sequence[float], ys: Sequence[float]) -> Series:
-        if len(xs) != len(ys):
-            raise ValueError(f"series {label!r}: xs and ys lengths differ")
-        return super().__new__(cls, label, xs, ys)
 
 
 def _nice_step(span: float) -> float:
@@ -57,24 +49,26 @@ def _nice_step(span: float) -> float:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
     step = _nice_step(hi - lo)
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + step * 1e-9:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
         t += step
     return ticks
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+def _line(x1, y1, x2, y2, stroke: str, width: float, extra: str = "") -> str:
+    """One <line>; ``extra`` holds further attributes, each after a space."""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="{width}"{extra}/>'
 
 
-def _tick_label(v: float) -> str:
-    return f"{v:g}"
+def _text(x, y, size: int, text: str, anchor: str = "middle", extra: str = "") -> str:
+    """One <text> holding ``text``, escaped; an empty ``anchor`` writes no
+    text-anchor, and ``extra`` holds further attributes, each after a space."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    font = f'font-family="sans-serif" font-size="{size}"'
+    return f'<text x="{x}" y="{y}"{anchor} {font}{extra}>{escape(text)}</text>'
 
 
 def line_chart(
@@ -89,20 +83,19 @@ def line_chart(
     """Render series as an SVG document string, charting y from 0 up."""
     if not series:
         raise ValueError("line_chart needs at least one series")
-    if all(len(s.xs) == 0 for s in series):
+    if all(len(s.ys) == 0 for s in series):
         raise ValueError("line_chart needs at least one data point")
     if not all(math.isfinite(v) for s in series for v in s.ys):
         raise ValueError("line_chart needs finite y values")
 
-    x_lo = min(min(s.xs) for s in series if s.xs)
-    x_hi = max(max(s.xs) for s in series if s.xs)
+    x_lo = min(s.first_x for s in series if s.ys)
+    x_hi = max(s.first_x + len(s.ys) - 1 for s in series if s.ys)
     y_lo = 0.0
     y_hi = max(v for s in series for v in s.ys) if y_max is None else y_max
     if ref_y is not None:
         y_lo = min(y_lo, ref_y)
         y_hi = max(y_hi, ref_y)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
+    x_hi = max(x_hi, x_lo + 1.0)
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
     pad = 0.04 * (y_hi - y_lo)
@@ -116,6 +109,7 @@ def line_chart(
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    right, bottom, mid_y = MARGIN_LEFT + plot_w, MARGIN_TOP + plot_h, f"{MARGIN_TOP + plot_h / 2:.1f}"
 
     def px(x: float) -> float:
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -127,82 +121,40 @@ def line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
+        _text(f"{WIDTH / 2:.1f}", 24, 16, title),
     ]
-
     for t in _ticks(x_lo, x_hi):
-        x = px(t)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{MARGIN_TOP}" x2="{_fmt(x)}" '
-            f'y2="{MARGIN_TOP + plot_h}" stroke="#e6e6e6" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{MARGIN_TOP + plot_h + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(t)}</text>'
-        )
+        x = f"{px(t):.2f}"
+        parts.append(_line(x, MARGIN_TOP, x, bottom, "#e6e6e6", 1))
+        parts.append(_text(x, bottom + 18, 11, f"{t:g}"))
     for t in _ticks(y_lo, y_hi):
         y = py(t)
-        parts.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{_fmt(y)}" x2="{MARGIN_LEFT + plot_w}" '
-            f'y2="{_fmt(y)}" stroke="#e6e6e6" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(t)}</text>'
-        )
+        parts.append(_line(MARGIN_LEFT, f"{y:.2f}", right, f"{y:.2f}", "#e6e6e6", 1))
+        parts.append(_text(MARGIN_LEFT - 8, f"{y + 4:.2f}", 11, f"{t:g}", "end"))
 
     # axes on top of the grid
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP + plot_h}" x2="{MARGIN_LEFT + plot_w}" '
-        f'y2="{MARGIN_TOP + plot_h}" stroke="#333333" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
-        f'y2="{MARGIN_TOP + plot_h}" stroke="#333333" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(x_label)}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.1f})">{escape(y_label)}</text>'
-    )
+    parts.append(_line(MARGIN_LEFT, bottom, right, bottom, "#333333", 1.5))
+    parts.append(_line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, bottom, "#333333", 1.5))
+    parts.append(_text(f"{MARGIN_LEFT + plot_w / 2:.1f}", HEIGHT - 12, 13, x_label))
+    parts.append(_text(18, mid_y, 13, y_label, extra=f' transform="rotate(-90 18 {mid_y})"'))
 
     if ref_y is not None:
         y = py(ref_y)
-        parts.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{_fmt(y)}" x2="{MARGIN_LEFT + plot_w}" '
-            f'y2="{_fmt(y)}" stroke="#888888" stroke-width="1.2" stroke-dasharray="6 4"/>'
-        )
+        dashes = ' stroke-dasharray="6 4"'
+        parts.append(_line(MARGIN_LEFT, f"{y:.2f}", right, f"{y:.2f}", "#888888", 1.2, dashes))
         if ref_label:
-            parts.append(
-                f'<text x="{MARGIN_LEFT + plot_w - 4}" y="{_fmt(y - 6)}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11" fill="#666666">{escape(ref_label)}</text>'
-            )
+            parts.append(_text(right - 4, f"{y - 6:.2f}", 11, ref_label, "end", ' fill="#666666"'))
 
-    for i, s in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(s.xs, s.ys))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{points}"/>'
-        )
+    colors = [PALETTE[i % len(PALETTE)] for i in range(len(series))]
+    for s, color in zip(series, colors):
+        points = " ".join(f"{px(s.first_x + i):.2f},{py(y):.2f}" for i, y in enumerate(s.ys))
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{points}"/>')
 
     legend_x = MARGIN_LEFT + 12
-    legend_y = MARGIN_TOP + 10
-    for i, s in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        y = legend_y + i * 18
-        parts.append(
-            f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 26}" y2="{y}" '
-            f'stroke="{color}" stroke-width="2.5"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 32}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="12">{escape(s.label)}</text>'
-        )
+    for i, (s, color) in enumerate(zip(series, colors)):
+        y = MARGIN_TOP + 10 + i * 18
+        parts.append(_line(legend_x, y, legend_x + 26, y, color, 2.5))
+        parts.append(_text(legend_x + 32, y + 4, 12, s.label, ""))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -268,6 +268,29 @@ def test_four_live_dimensions_match_live_grid_digests(name, data, tmp_path):
     report(f"PASS golden outputs: the {name} run on the 3x3x6x6 grid matches live_grid_digests.json")
 
 
+# the SHA-256 of the three charts of two single-arm runs, which the digests
+# above never plot: a 20-episode run, whose rolling chart has no full window
+# and takes the placeholder series, and 300 episodes of the benchmark's
+# random-policy grid; both are labelled with the directory name "results"
+CHART_DIGESTS = json.loads((REPO / "tests" / "chart_digests.json").read_text(encoding="utf-8"))
+RANDOM_POLICY = str(REPO / "perfbench" / "workloads" / "random_policy.json")
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("default", ["--seeds", "1..2", "--episodes", "20"]),
+        ("random_policy", ["--config", RANDOM_POLICY, "--seeds", "7,8", "--episodes", "300"]),
+    ],
+)
+def test_run_charts_match_chart_digests(name, args, tmp_path):
+    out = tmp_path / "results"
+    cli("run", *args, "--jobs", "1", "--out", str(out))
+    cli("plot", "--in", str(out), "--out", str(out / "figures"))
+    assert digests(out / "figures") == CHART_DIGESTS[name]
+    report(f"PASS golden outputs: the charts of the {name} run match chart_digests.json")
+
+
 def crossing_episode(curves, level=195.0):
     for i, value in enumerate(curves.mean_rolling):
         if value >= level:

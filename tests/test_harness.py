@@ -1073,30 +1073,25 @@ def test_figures_from_empty_dir(tmp_path):
         figures_from_dir(tmp_path, tmp_path / "figs")
 
 
-def test_series_validation():
-    with pytest.raises(ValueError):
-        Series(label="bad", xs=[1.0], ys=[1.0, 2.0])
-
-
 def test_line_chart_validation():
     with pytest.raises(ValueError):
         line_chart("t", "x", "y", series=[])
     with pytest.raises(ValueError):
-        line_chart("t", "x", "y", series=[Series("empty", [], [])])
+        line_chart("t", "x", "y", series=[Series("empty", 1, [])])
     with pytest.raises(ValueError, match="finite"):
-        line_chart("t", "x", "y", series=[Series("nan", [1.0, 2.0], [1.0, math.nan])])
+        line_chart("t", "x", "y", series=[Series("nan", 1, [1.0, math.nan])])
     # finite, but the padding takes the y-span past the largest float
     with pytest.raises(ValueError, match="overflows"):
-        line_chart("t", "x", "y", series=[Series("huge", [1.0], [1.7e308])])
+        line_chart("t", "x", "y", series=[Series("huge", 1, [1.7e308])])
 
 
 def test_line_chart_deterministic():
-    s = Series("s", [1.0, 2.0, 3.0], [5.0, 1.0, 3.0])
+    s = Series("s", 1, [5.0, 1.0, 3.0])
     assert line_chart("t", "x", "y", [s]) == line_chart("t", "x", "y", [s])
 
 
 def test_line_chart_escapes_labels():
-    s = Series("a<b&c", [1.0, 2.0], [1.0, 2.0])
+    s = Series("a<b&c", 1, [1.0, 2.0])
     svg = line_chart("t<&t", "x", "y", [s])
     ET.fromstring(svg)
     assert "a&lt;b&amp;c" in svg
@@ -1369,6 +1364,94 @@ def test_cli_plot_huge_value_exits_1(tmp_path, capsys, value):
     assert main(["plot", "--in", str(tmp_path), "--out", str(tmp_path / "figs")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line_chart cannot chart y from 0 to ") and err.count("\n") == 1
+
+
+# -- output directories --------------------------------------------------------
+
+
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_cli_run_with_fewer_seeds_leaves_no_stale_run_csv(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    for seeds in ("1..5", "1..2"):
+        assert main(["run", "--out", out, "--seeds", seeds, "--episodes", "3", "--jobs", "1"]) == 0
+    assert sorted(os.listdir(out)) == ["aggregate.csv", "run_1.csv", "run_2.csv"]
+    assert os.listdir(tmp_path) == ["o"]  # no staging or set-aside tree is left
+
+
+def test_cli_run_over_a_compare_dir_replaces_the_whole_layout(tmp_path, capsys):
+    a = write_config(tmp_path, "a.json", SMALL)
+    b = write_config(tmp_path, "b.json", {**SMALL, "scheduler": {"kind": "exponential"}})
+    out = tmp_path / "results"
+    assert main(["compare", "--config-a", a, "--config-b", b, "--out", str(out), "--jobs", "1"]) == 0
+    assert main(["plot", "--in", str(out), "--out", str(out / "figures")]) == 0
+    assert main(["run", "--config", a, "--out", str(out), "--jobs", "1"]) == 0
+    assert sorted(os.listdir(out)) == ["aggregate.csv", "run_1.csv", "run_2.csv"]
+    # plot now charts the run, one series labelled with the directory name
+    assert main(["plot", "--in", str(out), "--out", str(tmp_path / "figs")]) == 0
+    reward = (tmp_path / "figs" / "reward.svg").read_text()
+    assert len(polylines(reward)) == 1 and ">results</text>" in reward
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "b.json", "figs", "results"]
+
+
+@pytest.mark.parametrize(
+    "command, foreign",
+    [
+        (["run", "--seeds", "1", "--episodes", "2", "--jobs", "1"], "notes.txt"),
+        (["run", "--seeds", "1", "--episodes", "2", "--jobs", "1"], "a/notes.txt"),
+        (["run", "--seeds", "1", "--episodes", "2", "--jobs", "1"], "run_x.csv"),
+        (["plot", "--in", "results"], "aggregate.csv"),
+    ],
+    ids=["run_beside_notes", "run_beside_a_notes", "run_beside_foreign_csv", "plot_into_a_run"],
+)
+def test_cli_refuses_an_out_holding_other_files(tmp_path, capsys, command, foreign):
+    assert main(["run", "--seeds", "1", "--episodes", "2", "--jobs", "1", "--out", str(tmp_path / "results")]) == 0
+    out = tmp_path / "target"
+    (out / foreign).parent.mkdir(parents=True)
+    (out / foreign).write_text("keep me\n", encoding="utf-8")
+    (out / "run_1.csv").write_text("old\n", encoding="utf-8")
+    before = tree_bytes(out)
+    capsys.readouterr()
+    command = [part.replace("results", str(tmp_path / "results")) for part in command]
+    assert main([*command, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: refusing to replace {out}: ") and err.count("\n") == 1
+    assert tree_bytes(out) == before
+    assert sorted(os.listdir(tmp_path)) == ["results", "target"]
+
+
+def test_interrupted_emit_leaves_the_old_tree(tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    emit_results([fabricated_run(1), fabricated_run(2)], out)
+    before = tree_bytes(out)
+
+    def broken(curves):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(rbed.emit, "aggregate_csv", broken)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        # run_1.csv and run_2.csv change, then the aggregate raises
+        emit_results([fabricated_run(1, n=5), fabricated_run(2, n=5)], out)
+    assert tree_bytes(out) == before
+    assert os.listdir(tmp_path) == ["o"]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_rejects_an_out_file_before_the_seed_runs(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a seed-run started")
+
+    monkeypatch.setattr(rbed.runner, "run_experiment", refuse)
+    monkeypatch.setattr(rbed.runner, "compare", refuse)
+    out = tmp_path / "file"
+    out.write_text("keep me\n", encoding="utf-8")
+    config = write_config(tmp_path, "c.json", SMALL)
+    args = ["--config", config] if command == "run" else ["--config-a", config, "--config-b", config]
+    assert main([command, *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {out} exists and is not a directory\n"
+    assert out.read_text(encoding="utf-8") == "keep me\n"
 
 
 def test_public_api_surface():
