@@ -5,11 +5,10 @@ imports none at its top. Each process compiles and executes every module it
 imports, so ``rbed plot`` loads only the emitter, the metrics and the chart
 writer, and ``run`` and ``compare`` load no chart writer. No command loads
 ``dataclasses`` (nor the ``inspect`` behind it): rbed's classes with fields
-are ``NamedTuple``s or plain classes. ``run`` and ``compare`` import the
-emitter only once their seed-runs have returned: a worker process forked
-during the seed-runs then holds no copy of a module it never uses. So they
-check before the seed-runs only that ``--out`` is not a file; the emitter
-refuses, after them, a directory holding files it does not write.
+are ``NamedTuple``s or plain classes. ``run`` and ``compare`` load the
+emitter once their seed-runs return, so a worker forked during them holds no
+copy of a module it never uses; only an ``--out`` that already exists loads
+it first, for ``check_out_dir`` to judge before any seed-run.
 """
 
 from __future__ import annotations
@@ -74,12 +73,6 @@ def _warn_about_ladder(name: str, config: ExperimentConfig) -> None:
         )
 
 
-def _check_out(out: str) -> None:
-    """Refuse, before any seed-run, an ``--out`` that no layout can go to."""
-    if os.path.exists(out) and not os.path.isdir(out):
-        raise FileExistsError(f"{out} exists and is not a directory")
-
-
 def _summarize_arm(arm: ArmReport) -> str:
     mean_solve = f"{arm.mean_solve_episode:.1f}" if arm.mean_solve_episode is not None else "-"
     mean_200 = f"{arm.mean_first_200:.1f}" if arm.mean_first_200 is not None else "-"
@@ -95,7 +88,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     config = _apply_overrides(_load(args.config), _overrides(args))
     _warn_about_ladder(args.config or "the default config", config)
-    _check_out(args.out)
+    if os.path.lexists(os.path.realpath(args.out)):  # see the module docstring
+        from .emit import check_out_dir
+        check_out_dir(args.out)
     results = run_experiment(config, jobs=args.jobs or usable_cpus())
     from .emit import emit_results  # after the seed-runs: see the module docstring
 
@@ -113,7 +108,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config_b = _apply_overrides(_load(args.config_b), overrides)
     _warn_about_ladder(f"arm a ({args.config_a})", config_a)
     _warn_about_ladder(f"arm b ({args.config_b})", config_b)
-    _check_out(args.out)
+    if os.path.lexists(os.path.realpath(args.out)):  # see the module docstring
+        from .emit import check_out_dir
+        check_out_dir(args.out)
     report = compare(config_a, config_b, jobs=args.jobs or usable_cpus())
     from .emit import emit_compare  # after the seed-runs: see the module docstring
 

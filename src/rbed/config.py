@@ -44,8 +44,8 @@ MAX_CLIP = 1e6  # keeps the discretizer's 2 * clip * buckets finite
 DEFAULT_BUCKETS = (1, 1, 7, 9)
 DEFAULT_CLIPS = (2.4, 3.0, THETA_THRESHOLD, 1.7)
 
-# The largest episode return of each environment: a cart-pole step pays 1.0
-# up to the step cap, and a chain episode pays 1.0 once, at the goal.
+# Each environment's name and its largest episode return: a cart-pole step
+# pays 1.0 up to the step cap, and a chain episode pays 1.0 once, at the goal.
 MAX_RETURN = {"cartpole": float(MAX_STEPS), "chain": 1.0}
 
 
@@ -153,7 +153,7 @@ class _ExperimentFields(NamedTuple):
     episodes: _field(int, ge=1) = 500
     # A variable-length tuple is a nonempty list of distinct items.
     seeds: _field(tuple[int, ...], ge=0, lt=2**64, from_str=parse_seed_spec) = tuple(range(1, 21))
-    environment: _field(str, choices=("cartpole", "chain")) = "cartpole"
+    environment: _field(str, choices=tuple(MAX_RETURN)) = "cartpole"
     chain_states: _field(int, ge=2, le=MAX_STATES) = 5
 
 

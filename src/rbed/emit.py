@@ -44,19 +44,15 @@ _RESULTS_LAYOUT = (
 _FIGURES_LAYOUT = (FIGURE_NAMES.__contains__, {})
 
 
-def _foreign(path: str, files: Callable[[str], bool], dirs: dict[str, Callable[[str], bool]]) -> Optional[str]:
-    """The first entry of directory ``path``, by name, that is neither a file
-    whose name ``files`` accepts nor a directory named in ``dirs`` that holds
-    only files its test accepts; None if there is none."""
+def _foreign(path: str, files: Callable[[str], bool], dirs: dict[str, Callable[[str], bool]]) -> Iterator[str]:
+    """Each entry of directory ``path``, by name, that is neither a file whose name ``files``
+    accepts nor a directory named in ``dirs`` that holds only files its test accepts."""
     with os.scandir(path) as entries:
         for entry in sorted(entries, key=lambda entry: entry.name):
             if entry.name in dirs and entry.is_dir(follow_symlinks=False):
-                inner = _foreign(entry.path, dirs[entry.name], {})
-                if inner is not None:
-                    return inner
+                yield from _foreign(entry.path, dirs[entry.name], {})
             elif not (files(entry.name) and entry.is_file(follow_symlinks=False)):
-                return entry.path
-    return None
+                yield entry.path
 
 
 def _remove_tree(path: str) -> None:
@@ -69,22 +65,31 @@ def _remove_tree(path: str) -> None:
     os.rmdir(path)
 
 
+def check_out_dir(out_dir: str | Path, layout: tuple = _RESULTS_LAYOUT) -> None:
+    """Raise FileExistsError if ``layout`` may not replace an existing ``out_dir``: a file, the
+    working directory or a parent of it, or a directory holding an entry the layout does not write."""
+    out = os.path.realpath(out_dir)  # "" reads as the working directory
+    if os.path.isdir(out):
+        if os.path.commonpath([out, os.path.realpath(os.curdir)]) == out:
+            raise FileExistsError(f"refusing to replace {out}: it is the working directory or holds it")
+        for foreign in _foreign(out, *layout):
+            raise FileExistsError(f"refusing to replace {out_dir}: {foreign} is not a file this command writes there")
+    elif os.path.lexists(out):
+        raise FileExistsError(f"{out_dir} exists and is not a directory")
+
+
 def _write_files(out_dir: str | Path, files: Iterable[tuple[str, str]], layout: tuple) -> list[Path]:
     """Write ``(relative path, text)`` pairs as the whole of ``out_dir``;
     returns the written paths in order. ``files`` is consumed one pair at a
     time, so a generator holds only one text.
 
-    The files go to a staging directory beside ``out_dir``, which then takes
-    its place by rename, so ``out_dir`` holds the old tree or the new one and
-    never a mix. An existing ``out_dir`` is replaced only if ``layout``
-    (``_RESULTS_LAYOUT`` or ``_FIGURES_LAYOUT``) accepts all it holds; else
-    nothing is written or deleted. If ``files`` raises, the old tree stays
-    and the staging directory is removed."""
+    ``check_out_dir`` judges an existing ``out_dir`` first. The files go to a
+    staging directory beside it, which then takes its place by rename, so
+    ``out_dir`` holds the old tree or the new one and never a mix. If
+    ``files`` raises, the old tree stays and the staging directory is removed."""
+    check_out_dir(out_dir, layout)
     out = os.path.realpath(out_dir)
     exists = os.path.lexists(out)
-    foreign = _foreign(out, *layout) if exists else None  # a file raises NotADirectoryError
-    if foreign is not None:
-        raise FileExistsError(f"refusing to replace {out_dir}: {foreign} is not a file this command writes there")
     parent, base = os.path.split(out)
     os.makedirs(parent, exist_ok=True)
     stage, aside = (os.path.join(parent, f".{base}.rbed-{os.getpid()}-{tag}") for tag in ("new", "old"))

@@ -1454,6 +1454,94 @@ def test_cli_rejects_an_out_file_before_the_seed_runs(tmp_path, capsys, monkeypa
     assert out.read_text(encoding="utf-8") == "keep me\n"
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_refuses_an_out_holding_other_files_before_the_seed_runs(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a seed-run started")
+
+    monkeypatch.setattr(rbed.runner, "run_experiment", refuse)
+    monkeypatch.setattr(rbed.runner, "compare", refuse)
+    out = tmp_path / "kept"
+    out.mkdir()
+    (out / "notes.txt").write_text("keep me\n", encoding="utf-8")
+    config = write_config(tmp_path, "c.json", SMALL)
+    args = ["--config", config] if command == "run" else ["--config-a", config, "--config-b", config]
+    assert main([command, *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: refusing to replace {out}: {out / 'notes.txt'} is not a file this command writes there\n"
+    assert os.listdir(out) == ["notes.txt"]
+
+
+def test_cli_plot_into_a_file_names_it(tmp_path, capsys):
+    assert main(["run", "--seeds", "1", "--episodes", "2", "--jobs", "1", "--out", str(tmp_path / "results")]) == 0
+    out = tmp_path / "file"
+    out.write_text("keep me\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["plot", "--in", str(tmp_path / "results"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {out} exists and is not a directory\n"
+    assert out.read_text(encoding="utf-8") == "keep me\n"
+
+
+@pytest.mark.parametrize("holds", ["nothing", "a layout"])
+@pytest.mark.parametrize(
+    "command, out, cwd",
+    [
+        (["run", "--seeds", "1", "--episodes", "2", "--jobs", "1"], ".", "here"),
+        (["run", "--seeds", "1", "--episodes", "2", "--jobs", "1"], "", "here"),
+        (["plot", "--in", "results"], ".", "here"),
+        # a results layout whose a/ is the working directory
+        (["run", "--seeds", "1", "--episodes", "2", "--jobs", "1"], "..", "here/a"),
+    ],
+    ids=["run_dot", "run_empty", "plot_dot", "run_parent"],
+)
+def test_cli_refuses_the_working_directory_and_its_parents(tmp_path, capsys, monkeypatch, command, out, cwd, holds):
+    assert main(["run", "--seeds", "1", "--episodes", "2", "--jobs", "1", "--out", str(tmp_path / "results")]) == 0
+    command = [part.replace("results", str(tmp_path / "results")) for part in command]
+    here = tmp_path / cwd
+    here.mkdir(parents=True)
+    if holds == "a layout":  # one the command would otherwise replace
+        source = tmp_path / "results"
+        if command[0] == "plot":
+            assert main(["plot", "--in", str(source), "--out", str(tmp_path / "figs")]) == 0
+            source = tmp_path / "figs"
+        for path in source.iterdir():
+            (here / path.name).write_bytes(path.read_bytes())
+    before = tree_bytes(tmp_path / "here")
+    monkeypatch.setattr(rbed.runner, "run_experiment", lambda *args, **kwargs: pytest.fail("a seed-run started"))
+    monkeypatch.chdir(here)
+    capsys.readouterr()
+    assert main([*command, "--out", out]) == 1
+    refused = os.path.realpath(here if out != ".." else here.parent)
+    assert capsys.readouterr().err == f"error: refusing to replace {refused}: it is the working directory or holds it\n"
+    assert os.path.samefile(os.curdir, here)
+    assert tree_bytes(tmp_path / "here") == before
+
+
+def test_a_pooled_compare_over_an_existing_layout_gives_the_serial_bytes(tmp_path):
+    # an --out that exists loads rbed.emit before the seed-runs, so the
+    # started worker is forked holding it; the bytes must not change
+    write_config(tmp_path, "a.json", SMALL)
+    write_config(tmp_path, "b.json", {**SMALL, "scheduler": {"kind": "exponential"}})
+    argv = ["compare", "--config-a", str(tmp_path / "a.json"), "--config-b", str(tmp_path / "b.json")]
+    assert main([*argv, "--seeds", "1..3", "--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
+    assert main([*argv, "--episodes", "5", "--jobs", "1", "--out", str(tmp_path / "pooled")]) == 0
+    assert main(["plot", "--in", str(tmp_path / "pooled"), "--out", str(tmp_path / "pooled" / "figures")]) == 0
+    code = (
+        "import multiprocessing, sys\n"
+        "import rbed.runner\n"
+        "rbed.runner.usable_cpus = lambda: 2\n"
+        "emit_at_start = []\n"
+        "real_start = multiprocessing.Process.start\n"
+        "multiprocessing.Process.start = lambda p: (emit_at_start.append('rbed.emit' in sys.modules), real_start(p))[1]\n"
+        "from rbed.cli import main\n"
+        f"assert main({[*argv, '--seeds', '1..3', '--jobs', '2', '--out', 'pooled']!r}) == 0\n"
+        "assert emit_at_start == [True], emit_at_start\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert tree_bytes(tmp_path / "pooled") == tree_bytes(tmp_path / "serial")
+
+
 def test_public_api_surface():
     import rbed
 
