@@ -66,8 +66,9 @@ def _remove_tree(path: str) -> None:
 
 
 def check_out_dir(out_dir: str | Path, layout: tuple = _RESULTS_LAYOUT) -> None:
-    """Raise FileExistsError if ``layout`` may not replace an existing ``out_dir``: a file, the
-    working directory or a parent of it, or a directory holding an entry the layout does not write."""
+    """Raise FileExistsError if ``layout`` may not write ``out_dir``: a file or an ``out_dir``
+    under one, the working directory or a parent of it, or a directory holding an entry the
+    layout does not write."""
     out = os.path.realpath(out_dir)  # "" reads as the working directory
     if os.path.isdir(out):
         if os.path.commonpath([out, os.path.realpath(os.curdir)]) == out:
@@ -76,6 +77,12 @@ def check_out_dir(out_dir: str | Path, layout: tuple = _RESULTS_LAYOUT) -> None:
             raise FileExistsError(f"refusing to replace {out_dir}: {foreign} is not a file this command writes there")
     elif os.path.lexists(out):
         raise FileExistsError(f"{out_dir} exists and is not a directory")
+    else:
+        ancestor = os.path.dirname(out)
+        while not os.path.lexists(ancestor):  # "/" exists, so this ends
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):
+            raise FileExistsError(f"{ancestor} exists and is not a directory")
 
 
 def _write_files(out_dir: str | Path, files: Iterable[tuple[str, str]], layout: tuple) -> list[Path]:
@@ -83,7 +90,7 @@ def _write_files(out_dir: str | Path, files: Iterable[tuple[str, str]], layout: 
     returns the written paths in order. ``files`` is consumed one pair at a
     time, so a generator holds only one text.
 
-    ``check_out_dir`` judges an existing ``out_dir`` first. The files go to a
+    ``check_out_dir`` judges ``out_dir`` first. The files go to a
     staging directory beside it, which then takes its place by rename, so
     ``out_dir`` holds the old tree or the new one and never a mix. If
     ``files`` raises, the old tree stays and the staging directory is removed."""

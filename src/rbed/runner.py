@@ -1,8 +1,12 @@
 """Experiment orchestration: seeded multi-run execution and comparisons.
 
-Each seed gets a fresh generator, Q-table, environment, and schedule. The
-schedule advances exactly once per episode, after the episode ends, so the
-epsilon recorded for an episode is the value that was in force during it.
+``run_seed`` is the one loop over a seed-run's episodes, and it reads no
+config: the caller hands it the generator, environment, Q-table (updated in
+place, so the caller can read the learned table) and schedule.
+``run_single_seed`` builds a fresh set of these from a config and a seed and
+calls it. The schedule advances exactly once per episode, after the episode
+ends, so the epsilon recorded for an episode is the value that was in force
+during it.
 """
 
 from __future__ import annotations
@@ -11,10 +15,10 @@ import os
 import reprlib
 from typing import NamedTuple, Optional, Sequence
 
-from .agent import Discretizer, new_q_table, run_episode
-from .config import ConfigError, ExperimentConfig
+from .agent import Discretizer, QTable, new_q_table, run_episode
+from .config import AgentConfig, ConfigError, ExperimentConfig
 from .envs import MAX_STEPS, TabularCartPole, TabularChain
-from .metrics import AggregateCurves, RunResult, aggregate_runs, mean, solve_count, solved_at
+from .metrics import AggregateCurves, EpisodeRecord, RunResult, aggregate_runs, mean, solve_count, solved_at
 from .rng import Rng
 
 REACH_MARK = float(MAX_STEPS)  # a capped cart-pole episode: 1.0 per step
@@ -26,20 +30,26 @@ def build_env(config: ExperimentConfig):
     return TabularCartPole(Discretizer(config.agent.buckets, config.agent.clips))
 
 
-def run_single_seed(config: ExperimentConfig, seed: int) -> RunResult:
-    """One fully deterministic run: the seed fixes every draw."""
-    rng = Rng(seed)
-    env = build_env(config)
-    q = new_q_table(env.n_states, env.n_actions)
-    schedule = config.scheduler.schedule()
-    params = config.agent
+def run_seed(rng: Rng, env, q: QTable, schedule, params: AgentConfig, episodes: int) -> tuple[EpisodeRecord, ...]:
+    """Episodes 1..``episodes`` of one seed-run, each through ``run_episode``
+    at ``schedule.epsilon``; ``schedule`` is anything with ``epsilon`` and an
+    ``update(last_reward)`` that returns the next schedule. ``run_episode`` is
+    looked up in this module at each call, so a wrapper set there (perfbench's
+    tracer sets one) sees every episode."""
     records = []
     append = records.append
-    for episode in range(1, config.episodes + 1):
+    for episode in range(1, episodes + 1):
         record = run_episode(env, q, schedule.epsilon, params, rng, episode=episode)
         schedule = schedule.update(record.total_reward)
         append(record)
-    records = tuple(records)
+    return tuple(records)
+
+
+def run_single_seed(config: ExperimentConfig, seed: int) -> RunResult:
+    """One fully deterministic run: the seed fixes every draw."""
+    env = build_env(config)
+    q = new_q_table(env.n_states, env.n_actions)
+    records = run_seed(Rng(seed), env, q, config.scheduler.schedule(), config.agent, config.episodes)
     return RunResult(seed=seed, records=records, solved_at=solved_at(records))
 
 

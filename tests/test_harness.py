@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -22,6 +23,7 @@ import rbed.cli
 import rbed.config
 import rbed.emit
 import rbed.runner
+from rbed.agent import new_q_table, run_episode
 from rbed.cli import _apply_overrides, _overrides, main
 from rbed.config import (
     MAX_RETURN,
@@ -60,11 +62,14 @@ from rbed.runner import (
     compare,
     first_reaching,
     run_experiment,
+    run_seed,
     run_single_seed,
 )
+from rbed.rng import Rng
 from rbed.schedules import ConstantSchedule, ExponentialSchedule, RbedSchedule
 from rbed.svgchart import Series, escape, line_chart
 
+REPO = Path(__file__).resolve().parent.parent
 SMALL = {"episodes": 30, "seeds": [1, 2], "agent": {"buckets": [1, 1, 4, 4]}}
 
 
@@ -400,6 +405,86 @@ def test_run_single_seed_basic_shape():
 def test_run_single_seed_deterministic():
     config = small_config()
     assert run_single_seed(config, 5) == run_single_seed(config, 5)
+
+
+class _NotACartPole:
+    """A TabularCartPole's episodes through ``reference_episode``: it delegates
+    to one without being one, so ``run_episode`` does not take the fused loop."""
+
+    def __init__(self, env):
+        self._env = env
+
+    def __getattr__(self, name):
+        return getattr(self._env, name)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "path", ["configs/rbed.json", "configs/exponential.json", "perfbench/workloads/random_policy.json"]
+)
+def test_whole_seed_runs_match_the_reference_loop(path, seed):
+    # the fused loop against select_action, TabularCartPole.step and q_update
+    # over 500 episodes of a shipped config, with epsilon walking under the
+    # RBED and exponential schedules: records and tables must agree exactly
+    config = load_config(REPO / path)._replace(episodes=500)
+    runs = []
+    for env in (build_env(config), _NotACartPole(build_env(config))):
+        q = new_q_table(env.n_states, env.n_actions)
+        records = run_seed(Rng(seed), env, q, config.scheduler.schedule(), config.agent, config.episodes)
+        runs.append((records, q))
+    assert not isinstance(env, TabularCartPole)
+    assert runs[0] == runs[1]
+    assert run_single_seed(config, seed).records == runs[0][0]
+    walked = len({record.epsilon for record in runs[0][0]}) > 1
+    assert walked == (config.scheduler.kind != "constant")
+
+
+class _ListSchedule:
+    """Epsilon read from a list, one entry per episode; keeps the rewards it is handed."""
+
+    def __init__(self, epsilons):
+        self.epsilons = epsilons
+        self.rewards = []
+
+    @property
+    def epsilon(self):
+        return self.epsilons[len(self.rewards)]
+
+    def update(self, last_reward):
+        self.rewards.append(last_reward)
+        return self
+
+
+def test_run_seed_takes_any_schedule_and_learns_into_the_callers_table():
+    env = TabularChain(5)
+    params = AgentConfig(gamma=0.9)
+    epsilons = [1.0, 0.5, 0.25, 0.0, 0.125, 0.0]
+    q = new_q_table(env.n_states, env.n_actions)
+    schedule = _ListSchedule(epsilons)
+    records = run_seed(Rng(3), env, q, schedule, params, len(epsilons))
+    assert [record.epsilon for record in records] == epsilons
+    assert schedule.rewards == [record.total_reward for record in records]
+    # the same episodes by hand, on a table of their own
+    q2, rng2 = new_q_table(env.n_states, env.n_actions), Rng(3)
+    assert records == tuple(
+        run_episode(env, q2, epsilon, params, rng2, episode=k) for k, epsilon in enumerate(epsilons, 1)
+    )
+    assert q == q2 and q != new_q_table(env.n_states, env.n_actions)
+
+
+def test_run_single_seed_looks_up_run_episode_at_call_time(monkeypatch):
+    # perfbench's tracer counts episodes by replacing rbed.runner.run_episode
+    config = small_config(episodes=7)
+    want = run_single_seed(config, 4)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["episode"])
+        return run_episode(*args, **kwargs)
+
+    monkeypatch.setattr(rbed.runner, "run_episode", counted)
+    assert run_single_seed(config, 4) == want
+    assert calls == list(range(1, 8))
 
 
 def test_seeds_produce_distinct_runs():
@@ -1438,8 +1523,12 @@ def test_interrupted_emit_leaves_the_old_tree(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["o"]
 
 
-@pytest.mark.parametrize("command", ["run", "compare"])
-def test_cli_rejects_an_out_file_before_the_seed_runs(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize(
+    "command, under",
+    [("run", ""), ("compare", ""), ("run", "sub"), ("compare", "sub/deeper")],
+    ids=["run", "compare", "run_under_a_file", "compare_under_a_file"],
+)
+def test_cli_rejects_an_out_file_before_the_seed_runs(tmp_path, capsys, monkeypatch, command, under):
     def refuse(*args, **kwargs):
         raise AssertionError("a seed-run started")
 
@@ -1449,9 +1538,14 @@ def test_cli_rejects_an_out_file_before_the_seed_runs(tmp_path, capsys, monkeypa
     out.write_text("keep me\n", encoding="utf-8")
     config = write_config(tmp_path, "c.json", SMALL)
     args = ["--config", config] if command == "run" else ["--config-a", config, "--config-b", config]
-    assert main([command, *args, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {out} exists and is not a directory\n"
+    if not under:
+        assert main([command, *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {out} exists and is not a directory\n"
+    else:  # the error names the file, by its real path
+        assert main([command, *args, "--out", str(out / under)]) == 1
+        assert capsys.readouterr().err == f"error: {os.path.realpath(out)} exists and is not a directory\n"
     assert out.read_text(encoding="utf-8") == "keep me\n"
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "file"]
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -1480,6 +1574,27 @@ def test_cli_plot_into_a_file_names_it(tmp_path, capsys):
     assert main(["plot", "--in", str(tmp_path / "results"), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {out} exists and is not a directory\n"
     assert out.read_text(encoding="utf-8") == "keep me\n"
+
+
+def test_cli_plot_under_a_file_names_the_file(tmp_path, capsys):
+    assert main(["run", "--seeds", "1", "--episodes", "2", "--jobs", "1", "--out", str(tmp_path / "results")]) == 0
+    file = tmp_path / "file"
+    file.write_text("keep me\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["plot", "--in", str(tmp_path / "results"), "--out", str(file / "sub")]) == 1
+    assert capsys.readouterr().err == f"error: {os.path.realpath(file)} exists and is not a directory\n"
+    assert file.read_text(encoding="utf-8") == "keep me\n"
+    assert sorted(os.listdir(tmp_path)) == ["file", "results"]
+
+
+def test_emit_under_a_file_raises_and_stages_nothing(tmp_path):
+    file = tmp_path / "file"
+    file.write_text("keep me\n", encoding="utf-8")
+    message = f"^{re.escape(os.path.realpath(file))} exists and is not a directory$"
+    with pytest.raises(FileExistsError, match=message):
+        emit_results([fabricated_run(1)], file / "sub")
+    assert file.read_text(encoding="utf-8") == "keep me\n"
+    assert os.listdir(tmp_path) == ["file"]  # no .sub.rbed-* staging directory
 
 
 @pytest.mark.parametrize("holds", ["nothing", "a layout"])
