@@ -6,16 +6,12 @@ imports, so ``rbed plot`` loads only the emitter, the metrics and the chart
 writer, and ``run`` and ``compare`` load no chart writer. No command loads
 ``dataclasses`` (nor the ``inspect`` behind it): rbed's classes with fields
 are ``NamedTuple``s or plain classes. ``run`` and ``compare`` load the
-emitter once their seed-runs return, so a worker forked during them holds no
-copy of a module it never uses; only an ``--out`` that already exists, or
-whose parent is not an existing directory, loads it first, for
-``check_out_dir`` to judge before any seed-run.
+emitter before any seed-run, for ``check_out_dir`` to judge ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -74,16 +70,6 @@ def _warn_about_ladder(name: str, config: ExperimentConfig) -> None:
         )
 
 
-def _check_out_early(out: str) -> None:
-    """Have ``check_out_dir`` judge ``out`` before any seed-run if it exists or its
-    parent is not an existing directory (see the module docstring)."""
-    real = os.path.realpath(out)
-    if os.path.lexists(real) or not os.path.isdir(os.path.dirname(real)):
-        from .emit import check_out_dir
-
-        check_out_dir(out)
-
-
 def _summarize_arm(arm: ArmReport) -> str:
     mean_solve = f"{arm.mean_solve_episode:.1f}" if arm.mean_solve_episode is not None else "-"
     mean_200 = f"{arm.mean_first_200:.1f}" if arm.mean_first_200 is not None else "-"
@@ -99,10 +85,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     config = _apply_overrides(_load(args.config), _overrides(args))
     _warn_about_ladder(args.config or "the default config", config)
-    _check_out_early(args.out)
-    results = run_experiment(config, jobs=args.jobs or usable_cpus())
-    from .emit import emit_results  # after the seed-runs: see the module docstring
+    from .emit import check_out_dir, emit_results
 
+    check_out_dir(args.out)
+    results = run_experiment(config, jobs=args.jobs or usable_cpus())
     written = emit_results(results, args.out)
     print(f"ran {len(results)} seed(s) x {config.episodes} episodes ({config.scheduler.kind})")
     print(f"solved {solve_count(results)}/{len(results)}; wrote {len(written)} file(s) to {args.out}")
@@ -117,10 +103,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config_b = _apply_overrides(_load(args.config_b), overrides)
     _warn_about_ladder(f"arm a ({args.config_a})", config_a)
     _warn_about_ladder(f"arm b ({args.config_b})", config_b)
-    _check_out_early(args.out)
-    report = compare(config_a, config_b, jobs=args.jobs or usable_cpus())
-    from .emit import emit_compare  # after the seed-runs: see the module docstring
+    from .emit import check_out_dir, emit_compare
 
+    check_out_dir(args.out)
+    report = compare(config_a, config_b, jobs=args.jobs or usable_cpus())
     emit_compare(report, args.out)
     print(_summarize_arm(report.a))
     print(_summarize_arm(report.b))

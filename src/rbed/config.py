@@ -302,7 +302,7 @@ def _require_mapping(value: Any, where: str) -> dict:
 def _parse_value(hint: Any, value: Any, bounds: dict, name: str) -> Any:
     if get_origin(hint) is Union:
         kind = _require_mapping(value, name).get("kind", "rbed")
-        if kind not in _SCHEDULER_KINDS:
+        if not isinstance(kind, str) or kind not in _SCHEDULER_KINDS:  # [] is unhashable
             raise ConfigError(
                 f"{name}.kind must be one of {sorted(_SCHEDULER_KINDS)}, got {kind!r}"
             )

@@ -140,8 +140,10 @@ def test_scheduler_kinds_parse():
     assert exp == ExponentialConfig(epsilon_start=1.0, decay_rate=0.995, epsilon_min=0.01)
     const = config_from_dict({"scheduler": {"kind": "constant", "epsilon": 0.3}}).scheduler
     assert const == ConstantConfig(epsilon=0.3)
-    with pytest.raises(ConfigError):
-        config_from_dict({"scheduler": {"kind": "linear"}})
+    for kind in ("linear", [], {}):  # [] and {} cannot be looked up by hash
+        want = f"scheduler.kind must be one of ['constant', 'exponential', 'rbed'], got {kind!r}"
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            config_from_dict({"scheduler": {"kind": kind}})
 
 
 def test_validation_catches_bad_fields():
@@ -213,6 +215,14 @@ def _optional(**fields):
     return st.fixed_dictionaries({}, optional=fields)
 
 
+# any value json.loads can return
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _WIDE_FLOATS | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=4,
+)
+
+
 _CONFIGS = st.fixed_dictionaries(
     {"episodes": st.just(2), "seeds": st.sampled_from(["1", "7", str(2**64 - 1)])},
     optional={
@@ -242,6 +252,7 @@ _CONFIGS = st.fixed_dictionaries(
                 },
             ),
             st.fixed_dictionaries({"kind": st.just("constant")}, optional={"epsilon": _WIDE_FLOATS}),
+            st.fixed_dictionaries({"kind": _JSON}),
         ),
     },
 )
@@ -1566,6 +1577,29 @@ def test_cli_refuses_an_out_holding_other_files_before_the_seed_runs(tmp_path, c
     assert os.listdir(out) == ["notes.txt"]
 
 
+@pytest.mark.parametrize("exists", [False, True], ids=["fresh", "existing"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_check_out_dir_judges_the_out_before_any_seed_run(tmp_path, monkeypatch, command, exists):
+    calls = []
+    judge, seed_run = rbed.emit.check_out_dir, rbed.runner.run_single_seed
+
+    def logged(name, function):
+        return lambda *args: (calls.append(name), function(*args))[1]
+
+    monkeypatch.setattr(rbed.emit, "check_out_dir", logged("check_out_dir", judge))
+    monkeypatch.setattr(rbed.runner, "run_single_seed", logged("run_single_seed", seed_run))
+    config = write_config(tmp_path, "c.json", SMALL)
+    args = ["--config", config] if command == "run" else ["--config-a", config, "--config-b", config]
+    argv = [command, *args, "--jobs", "1", "--out", str(tmp_path / "out")]
+    if exists:
+        assert main(argv) == 0
+        calls.clear()
+    assert main(argv) == 0
+    seed_runs = len(SMALL["seeds"]) * (1 if command == "run" else 2)
+    # the command's judgment, the seed-runs, then the writer's own
+    assert calls == ["check_out_dir", *["run_single_seed"] * seed_runs, "check_out_dir"]
+
+
 def test_cli_plot_into_a_file_names_it(tmp_path, capsys):
     assert main(["run", "--seeds", "1", "--episodes", "2", "--jobs", "1", "--out", str(tmp_path / "results")]) == 0
     out = tmp_path / "file"
@@ -1632,15 +1666,18 @@ def test_cli_refuses_the_working_directory_and_its_parents(tmp_path, capsys, mon
     assert tree_bytes(tmp_path / "here") == before
 
 
-def test_a_pooled_compare_over_an_existing_layout_gives_the_serial_bytes(tmp_path):
-    # an --out that exists loads rbed.emit before the seed-runs, so the
-    # started worker is forked holding it; the bytes must not change
+@pytest.mark.parametrize("exists", [False, True], ids=["fresh", "existing"])
+def test_a_pooled_compare_gives_the_serial_bytes(tmp_path, exists):
+    # compare loads rbed.emit before the seed-runs, for check_out_dir to
+    # judge --out, so the started worker is forked holding it; the bytes
+    # must not change, whether --out is new or holds a layout to replace
     write_config(tmp_path, "a.json", SMALL)
     write_config(tmp_path, "b.json", {**SMALL, "scheduler": {"kind": "exponential"}})
     argv = ["compare", "--config-a", str(tmp_path / "a.json"), "--config-b", str(tmp_path / "b.json")]
     assert main([*argv, "--seeds", "1..3", "--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
-    assert main([*argv, "--episodes", "5", "--jobs", "1", "--out", str(tmp_path / "pooled")]) == 0
-    assert main(["plot", "--in", str(tmp_path / "pooled"), "--out", str(tmp_path / "pooled" / "figures")]) == 0
+    if exists:
+        assert main([*argv, "--episodes", "5", "--jobs", "1", "--out", str(tmp_path / "pooled")]) == 0
+        assert main(["plot", "--in", str(tmp_path / "pooled"), "--out", str(tmp_path / "pooled" / "figures")]) == 0
     code = (
         "import multiprocessing, sys\n"
         "import rbed.runner\n"
@@ -1751,28 +1788,6 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     assert "multiprocessing" in pooled
     assert [name for name in _unused(pooled) if name.split(".")[0] not in ("multiprocessing", "socket")] == []
     assert sorted(p.name for p in (tmp_path / "cmp" / "figs").iterdir()) == sorted(FIGURE_NAMES)
-
-
-def test_a_started_worker_is_forked_before_the_emitter_loads(tmp_path):
-    # compare imports rbed.emit once its seed-runs return, so a worker
-    # holds no copy of a module it never runs
-    write_config(tmp_path, "a.json", SMALL)
-    write_config(tmp_path, "b.json", {**SMALL, "scheduler": {"kind": "exponential"}})
-    argv = ["compare", "--config-a", "a.json", "--config-b", "b.json", "--out", "pooled", "--jobs", "2"]
-    code = (
-        "import multiprocessing, sys\n"
-        "import rbed.runner\n"
-        "rbed.runner.usable_cpus = lambda: 2\n"
-        "emit_at_start = []\n"
-        "real_start = multiprocessing.Process.start\n"
-        "multiprocessing.Process.start = lambda p: (emit_at_start.append('rbed.emit' in sys.modules), real_start(p))[1]\n"
-        "from rbed.cli import main\n"
-        f"assert main({argv!r}) == 0\n"
-        "assert emit_at_start == [False], emit_at_start\n"
-        "assert 'rbed.emit' in sys.modules\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_spawned_workers_give_the_serial_bytes(tmp_path):
