@@ -65,6 +65,19 @@ def _remove_tree(path: str) -> None:
     os.rmdir(path)
 
 
+def _new_dir(name: str) -> str:
+    """Make a directory named ``name``, or ``name-1``, ``name-2``, ... if that name is taken,
+    say by a killed process that had this pid; returns its path."""
+    path, n = name, 0
+    while True:
+        try:
+            os.mkdir(path)
+            return path
+        except FileExistsError:
+            n += 1
+            path = f"{name}-{n}"
+
+
 def check_out_dir(out_dir: str | Path, layout: tuple = _RESULTS_LAYOUT) -> None:
     """Raise FileExistsError if ``layout`` may not write ``out_dir``: a file or an ``out_dir``
     under one, the working directory or a parent of it, or a directory holding an entry the
@@ -90,16 +103,20 @@ def _write_files(out_dir: str | Path, files: Iterable[tuple[str, str]], layout: 
     returns the written paths in order. ``files`` is consumed one pair at a
     time, so a generator holds only one text.
 
-    ``check_out_dir`` judges ``out_dir`` first. The files go to a
-    staging directory beside it, which then takes its place by rename, so
-    ``out_dir`` holds the old tree or the new one and never a mix. If
-    ``files`` raises, the old tree stays and the staging directory is removed."""
+    ``check_out_dir`` judges ``out_dir`` first. The files go to ``new`` in a
+    staging directory that this call makes beside ``out_dir``
+    (``.<name>.rbed-<pid>``, or that name with ``-1``, ``-2``, ... if an
+    earlier process left it). An old tree is renamed to ``old`` in it, then
+    ``new`` takes its place by rename, so ``out_dir`` holds the old tree or
+    the new one and never a mix. If ``files`` raises, the old tree stays and
+    the staging directory is removed."""
     check_out_dir(out_dir, layout)
     out = os.path.realpath(out_dir)
     exists = os.path.lexists(out)
     parent, base = os.path.split(out)
     os.makedirs(parent, exist_ok=True)
-    stage, aside = (os.path.join(parent, f".{base}.rbed-{os.getpid()}-{tag}") for tag in ("new", "old"))
+    staging = _new_dir(os.path.join(parent, f".{base}.rbed-{os.getpid()}"))
+    stage, aside = os.path.join(staging, "new"), os.path.join(staging, "old")
     os.mkdir(stage)
     written = []
     try:
@@ -118,9 +135,10 @@ def _write_files(out_dir: str | Path, files: Iterable[tuple[str, str]], layout: 
             raise
     except BaseException:
         _remove_tree(stage)
+        if not os.path.lexists(aside):  # else the old tree is left only there
+            os.rmdir(staging)
         raise
-    if exists:
-        _remove_tree(aside)
+    _remove_tree(staging)
     return written
 
 

@@ -262,10 +262,11 @@ LIVE_GRID = {"agent": {"buckets": [3, 3, 6, 6], "gamma": 0.99}, "seeds": "1..3"}
 def test_four_live_dimensions_match_live_grid_digests(name, data, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**data, **LIVE_GRID}))
-    out = tmp_path / "results"
-    cli("run", "--config", str(config), "--jobs", "1", "--out", str(out))
-    assert digests(out) == LIVE_GRID_DIGESTS[name]
-    report(f"PASS golden outputs: the {name} run on the 3x3x6x6 grid matches live_grid_digests.json")
+    for jobs in ("1", "2"):
+        out = tmp_path / f"results-{jobs}"
+        cli("run", "--config", str(config), "--jobs", jobs, "--out", str(out))
+        assert digests(out) == LIVE_GRID_DIGESTS[name]
+    report(f"PASS golden outputs: the {name} run on the 3x3x6x6 grid matches live_grid_digests.json at --jobs 1 and 2")
 
 
 # the SHA-256 of the three charts of two single-arm runs, which the digests

@@ -1349,6 +1349,14 @@ def test_cli_warns_once_per_arm_whose_ladder_ends_below_its_target(tmp_path, cap
         f" {195 * under!r}, below reward_target 195: reward_target counts decays, not reward",
     ]
     assert "warning" not in captured.out
+    cmd = ["run", "--config", half, "--seeds", "1..2", "--episodes", "2", "--jobs", "1"]
+    assert main([*cmd, "--out", str(tmp_path / "half")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"warning: {half}: epsilon reaches epsilon_min 0 when the RBED threshold is 97.5,"
+        " below reward_target 195: reward_target counts decays, not reward\n"
+    )
+    assert "warning" not in captured.out
     # a chain ladder at 0.5 would also end below its target, but it stalls
     # first, and only the stall line is printed
     chain = write_config(
@@ -1367,11 +1375,13 @@ def test_cli_warns_once_per_stalling_arm(tmp_path, capsys):
     cmd = ["run", "--config", chain, "--seeds", "1", "--episodes", "3", "--jobs", "1"]
     assert main([*cmd, "--out", str(out)]) == 0
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [
+    assert captured.err == (
         f"warning: {chain}: epsilon stalls at 0.9897, above epsilon_min 0: the RBED"
-        " threshold ladder passes 1, the largest episode return on chain"
-    ]
+        " threshold ladder passes 1, the largest episode return on chain\n"
+    )
     assert "warning" not in captured.out
+    assert main(["plot", "--in", str(out), "--out", str(out / "figures")]) == 0
+    assert sorted(os.listdir(out / "figures")) == sorted(FIGURE_NAMES)
     a = write_config(tmp_path, "a.json", {**SMALL, "scheduler": {"reward_increment": 2}})
     b = write_config(tmp_path, "b.json", {**SMALL, "scheduler": {"reward_target": 400}})
     ok = write_config(tmp_path, "ok.json", SMALL)
@@ -1534,6 +1544,57 @@ def test_interrupted_emit_leaves_the_old_tree(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["o"]
 
 
+def test_a_write_takes_a_staging_name_no_earlier_process_left(tmp_path):
+    # killed processes that had this pid left the first two staging names a
+    # write of "o" reaches for, and the pid's "-new" and "-old" siblings,
+    # which the staging names once were (a leftover of either, "-old"
+    # holding a tree, broke the write)
+    out = tmp_path / "o"
+    emit_results([fabricated_run(1)], out)
+    pid = os.getpid()
+    for leftover in (f".o.rbed-{pid}/new", f".o.rbed-{pid}-1/old", f".o.rbed-{pid}-new", f".o.rbed-{pid}-old"):
+        (tmp_path / leftover).mkdir(parents=True)
+        (tmp_path / leftover / "run_1.csv").write_text("left\n", encoding="utf-8")
+    left = {name: tree_bytes(tmp_path / name) for name in os.listdir(tmp_path) if name != "o"}
+    emit_results([fabricated_run(1, n=5), fabricated_run(2, n=5)], out)
+    assert sorted(os.listdir(out)) == ["aggregate.csv", "run_1.csv", "run_2.csv"]
+    assert len((out / "run_1.csv").read_text(encoding="utf-8").splitlines()) == 6
+    assert {name: tree_bytes(tmp_path / name) for name in os.listdir(tmp_path) if name != "o"} == left
+
+
+def test_a_kill_between_the_renames_leaves_the_old_tree_set_aside(tmp_path, capsys):
+    # the process dies after the old tree is renamed aside and before the
+    # new one is renamed into place: no --out is left, and both trees are
+    # whole in the staging directory, which no later command touches
+    code = (
+        "import os\n"
+        "from rbed.cli import main\n"
+        "print(os.getpid())\n"
+        "assert main(['run', '--seeds', '1..2', '--episodes', '2', '--jobs', '1', '--out', 'o']) == 0\n"
+        "renames, real_rename = [], os.rename\n"
+        "def rename(src, dst):\n"
+        "    renames.append(dst)\n"
+        "    if len(renames) == 2:  # the new tree's rename into place\n"
+        "        os._exit(9)\n"
+        "    real_rename(src, dst)\n"
+        "os.rename = rename\n"
+        "main(['run', '--seeds', '1', '--episodes', '3', '--jobs', '1', '--out', 'o'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 9, proc.stderr
+    staging = tmp_path / f".o.rbed-{int(proc.stdout.split()[0])}"
+    assert os.listdir(tmp_path) == [staging.name]
+    assert sorted(os.listdir(staging)) == ["new", "old"]
+    old, new = tree_bytes(staging / "old"), tree_bytes(staging / "new")
+    assert sorted(old) == ["aggregate.csv", "run_1.csv", "run_2.csv"]
+    assert sorted(new) == ["aggregate.csv", "run_1.csv"]
+    assert len(new["run_1.csv"].splitlines()) == 4
+    assert main(["run", "--seeds", "1", "--episodes", "3", "--jobs", "1", "--out", str(tmp_path / "o")]) == 0
+    assert tree_bytes(tmp_path / "o") == new
+    assert sorted(os.listdir(tmp_path)) == [staging.name, "o"]
+    assert (tree_bytes(staging / "old"), tree_bytes(staging / "new")) == (old, new)
+
+
 @pytest.mark.parametrize(
     "command, under",
     [("run", ""), ("compare", ""), ("run", "sub"), ("compare", "sub/deeper")],
@@ -1575,6 +1636,7 @@ def test_cli_refuses_an_out_holding_other_files_before_the_seed_runs(tmp_path, c
     err = capsys.readouterr().err
     assert err == f"error: refusing to replace {out}: {out / 'notes.txt'} is not a file this command writes there\n"
     assert os.listdir(out) == ["notes.txt"]
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "keep me\n"
 
 
 @pytest.mark.parametrize("exists", [False, True], ids=["fresh", "existing"])
@@ -1656,6 +1718,7 @@ def test_cli_refuses_the_working_directory_and_its_parents(tmp_path, capsys, mon
         for path in source.iterdir():
             (here / path.name).write_bytes(path.read_bytes())
     before = tree_bytes(tmp_path / "here")
+    entries = sorted((tmp_path / "here").rglob("*"))
     monkeypatch.setattr(rbed.runner, "run_experiment", lambda *args, **kwargs: pytest.fail("a seed-run started"))
     monkeypatch.chdir(here)
     capsys.readouterr()
@@ -1664,6 +1727,7 @@ def test_cli_refuses_the_working_directory_and_its_parents(tmp_path, capsys, mon
     assert capsys.readouterr().err == f"error: refusing to replace {refused}: it is the working directory or holds it\n"
     assert os.path.samefile(os.curdir, here)
     assert tree_bytes(tmp_path / "here") == before
+    assert sorted((tmp_path / "here").rglob("*")) == entries
 
 
 @pytest.mark.parametrize("exists", [False, True], ids=["fresh", "existing"])
@@ -1691,6 +1755,7 @@ def test_a_pooled_compare_gives_the_serial_bytes(tmp_path, exists):
     )
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""  # capsys cannot see what a forked worker writes to fd 2
     assert tree_bytes(tmp_path / "pooled") == tree_bytes(tmp_path / "serial")
 
 
