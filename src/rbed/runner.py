@@ -6,7 +6,9 @@ place, so the caller can read the learned table) and schedule.
 ``run_single_seed`` builds a fresh set of these from a config and a seed and
 calls it. The schedule advances exactly once per episode, after the episode
 ends, so the epsilon recorded for an episode is the value that was in force
-during it.
+during it. ``run_tasks`` is the one process pool, for any ``(function,
+args)`` tasks; ``run_experiment`` and ``compare`` hand it ``run_single_seed``
+tasks, read from this module at each call so a wrapper set there sees them.
 """
 
 from __future__ import annotations
@@ -62,22 +64,25 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _serve(tasks: list[tuple[ExperimentConfig, int]], conn) -> None:
-    """A started process's work: run each seed-run whose index the caller
-    sends and send the index back when it is done, which asks for another.
-    At ``None``, send every result in one message; an exception is sent in
-    its place and ends the process. Only indices pass during the run, so a
+def _serve(tasks: list[tuple], conn) -> None:
+    """A started process's work: run each task whose index the caller sends
+    and send the index back when it is done, which asks for another. At
+    ``None``, send every result in one message; an exception is sent in its
+    place and ends the process. Only indices pass during the run, so a
     worker never waits for the caller to read a result."""
     try:
         done = {}
         for i in iter(conn.recv, None):
-            config, seed = tasks[i]
-            done[i] = run_single_seed(config, seed)
+            function, args = tasks[i]
+            done[i] = function(*args)
             conn.send(i)
         message = done
     except Exception as exc:
         message = exc
-    conn.send(message)
+    try:
+        conn.send(message)
+    except Exception as exc:  # a pickling error: send pickles before it writes, so the pipe is whole
+        conn.send(TypeError(f"a worker holding tasks {sorted(done)} cannot pickle its message: {exc}"))
 
 
 def _hand(conn, message) -> None:
@@ -97,29 +102,25 @@ def _receive(k: int, process, conn):
     except (EOFError, OSError):  # OSError: it exited holding unread indices
         process.join()
         raise ChildProcessError(
-            f"worker {k} (pid {process.pid}) exited with code {process.exitcode}"
-            " before sending its results"
+            f"worker {k} (pid {process.pid}) exited with code {process.exitcode} before sending its results"
         ) from None
     if isinstance(message, Exception):
         raise message
     return message
 
 
-def _run_tasks(
-    configs: tuple[ExperimentConfig, ...], seeds: tuple[int, ...], jobs: int
-) -> list[list[RunResult]]:
-    """Run every config on every seed in ``workers`` processes: at most
-    ``jobs``, at most one per usable CPU and at most one per seed-run. The
-    calling process is one of them. It starts the others and, between its
-    own seed-runs, hands each the index of the next seed-run, so a faster
-    process runs more of them; with one process it starts none and runs
-    every seed-run in turn. The seed-runs go seed by seed, configs in turn
-    (each config's first seed, then each one's second, and so on), so a
-    started process that takes two indices up front runs one of each arm,
-    not two of the arm whose episodes are shorter. Each started process
-    sends its results in one message at the end. Returns one list per
-    config, in seed order, so parallel output equals sequential output."""
-    tasks = [(config, seed) for seed in seeds for config in configs]
+def run_tasks(tasks: Sequence[tuple], jobs: int) -> list:
+    """``function(*args)`` for each ``(function, args)`` task, in ``workers``
+    processes: at most ``jobs``, at most one per usable CPU and at most one
+    per task. The calling process is one of them. It starts the others and,
+    between its own tasks, hands each the index of the next in list order,
+    so a faster process runs more; with one process it starts none and runs
+    every task in turn. A started process takes two indices up front, so a
+    caller that interleaves its arms (as ``compare`` does) gives it one of
+    each, and sends its results in one message at the end. Returns the
+    results in task order, so parallel output equals sequential output.
+    With more than one process, each function must be module-level, and its
+    args, result and any exception must pickle."""
     workers = min(jobs, len(tasks), usable_cpus())
     results = [None] * len(tasks)
     next_task = 0
@@ -132,18 +133,16 @@ def _run_tasks(
             import multiprocessing
 
             conn, child_conn = multiprocessing.Pipe()
-            process = multiprocessing.Process(
-                target=_serve, args=(tasks, child_conn), name=f"rbed-worker-{k}"
-            )
+            process = multiprocessing.Process(target=_serve, args=(tasks, child_conn), name=f"rbed-worker-{k}")
             process.start()
             started[conn], held[conn] = (k, process), 0
             child_conn.close()  # the worker's copy is the last one: its exit ends the pipe
         while True:
-            # a worker holds the seed-run it runs and the next, so it does not
+            # a worker holds the task it runs and the next, so it does not
             # wait for the caller's to end; the last goes to whoever is free
             for conn, worker in started.items():
                 while held[conn] and conn.poll():
-                    _receive(*worker, conn)  # the index of a seed-run it finished
+                    _receive(*worker, conn)  # the index of a task it finished
                     held[conn] -= 1
                 while held[conn] < min(2, len(tasks) - next_task):
                     _hand(conn, next_task)
@@ -151,7 +150,8 @@ def _run_tasks(
                     held[conn] += 1
             if next_task == len(tasks):
                 break
-            results[next_task] = run_single_seed(*tasks[next_task])
+            function, args = tasks[next_task]
+            results[next_task] = function(*args)
             next_task += 1
         for conn in started:
             _hand(conn, None)
@@ -168,12 +168,12 @@ def _run_tasks(
         for conn, (_, process) in started.items():
             process.join()
             conn.close()
-    return [results[c :: len(configs)] for c in range(len(configs))]
+    return results
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     """Run every seed; results follow the config's seed order."""
-    return _run_tasks((config,), config.seeds, jobs)[0]
+    return run_tasks([(run_single_seed, (config, seed)) for seed in config.seeds], jobs)
 
 
 def first_reaching(records, mark: float = REACH_MARK) -> Optional[int]:
@@ -243,11 +243,11 @@ def compare(
     kind_b = config_b.scheduler.kind
     label_a = kind_a if kind_a != kind_b else f"a:{kind_a}"
     label_b = kind_b if kind_a != kind_b else f"b:{kind_b}"
-    # one task list over both arms on their one seed tuple, handed out seed
-    # by seed, arms in turn, to whichever process is free, so no process
+    # one task list over both arms on their one seed tuple, seed by seed,
+    # arms in turn, handed to whichever process is free, so no process
     # idles while another runs the slower arm
-    runs_a, runs_b = _run_tasks((config_a, config_b), config_a.seeds, jobs)
-    arm_a = _arm_report(label_a, config_a, runs_a)
-    arm_b = _arm_report(label_b, config_b, runs_b)
+    runs = run_tasks([(run_single_seed, (c, seed)) for seed in config_a.seeds for c in (config_a, config_b)], jobs)
+    arm_a = _arm_report(label_a, config_a, runs[0::2])
+    arm_b = _arm_report(label_b, config_b, runs[1::2])
     ratio = arm_a.solve_count / arm_b.solve_count if arm_b.solve_count > 0 else None
     return ComparisonReport(a=arm_a, b=arm_b, solve_ratio=ratio)

@@ -64,6 +64,7 @@ from rbed.runner import (
     run_experiment,
     run_seed,
     run_single_seed,
+    run_tasks,
 )
 from rbed.rng import Rng
 from rbed.schedules import ConstantSchedule, ExponentialSchedule, RbedSchedule
@@ -722,7 +723,36 @@ def test_three_processes_keep_config_then_seed_order(monkeypatch):
         small_config(seeds=seeds, episodes=3, scheduler={"kind": "exponential"}),
     )
     serial = [[run_single_seed(config, seed) for seed in seeds] for config in configs]
-    assert rbed.runner._run_tasks(configs, seeds, jobs=3) == serial
+    results = run_tasks([(run_single_seed, (config, seed)) for seed in seeds for config in configs], jobs=3)
+    assert [results[c :: len(configs)] for c in range(len(configs))] == serial
+
+
+@pytest.mark.parametrize(
+    "jobs, method", [(1, None), (2, None), (3, None), (3, "spawn")], ids=["jobs1", "jobs2", "jobs3", "spawn"]
+)
+def test_run_tasks_runs_any_function_in_task_order(monkeypatch, jobs, method):
+    # builtin tasks: no config, no seed; spawn pickles them to each worker
+    if method is not None:
+        monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context(method).Process)
+    monkeypatch.setattr(rbed.runner, "usable_cpus", lambda: 3)
+    pairs = [(b, e) for b in range(2, 7) for e in (3, 1)]
+    assert run_tasks([(pow, pair) for pair in pairs], jobs) == [b**e for b, e in pairs]
+    assert multiprocessing.active_children() == []
+
+
+def _returns_a_lambda(n):
+    return lambda: n
+
+
+def test_a_result_that_cannot_be_pickled_fails_cleanly(monkeypatch, capfd):
+    # the worker holds tasks 0 and 1 when it sends its results; the caller
+    # runs task 2, whose lambda never has to leave its process
+    monkeypatch.setattr(rbed.runner, "usable_cpus", lambda: 2)
+    assert run_tasks([(_returns_a_lambda, (0,))], jobs=1)[0]() == 0
+    with pytest.raises(TypeError, match=r"^a worker holding tasks \[0, 1\] cannot pickle its message: "):
+        run_tasks([(_returns_a_lambda, (n,)) for n in range(3)], jobs=2)
+    assert capfd.readouterr().err == ""
+    assert multiprocessing.active_children() == []
 
 
 # read without fixing the start method, which get_start_method() would do
@@ -822,6 +852,10 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     _patch_seeds(monkeypatch, {2: _raise(ValueError("seed 2 broke"))})
     with pytest.raises(ValueError, match="^seed 2 broke$"):
         run_experiment(small_config(seeds=[1, 2, 3], episodes=2), jobs=2)
+    assert multiprocessing.active_children() == []
+    # a task that is not a seed-run: the worker holds tasks 0 and 1
+    with pytest.raises(ZeroDivisionError, match="^integer division or modulo by zero$"):
+        run_tasks([(pow, (2, 3)), (divmod, (1, 0)), (pow, (2, 2))], jobs=2)
     assert multiprocessing.active_children() == []
 
 
@@ -1855,15 +1889,18 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     assert sorted(p.name for p in (tmp_path / "cmp" / "figs").iterdir()) == sorted(FIGURE_NAMES)
 
 
-def test_spawned_workers_give_the_serial_bytes(tmp_path):
-    # spawn (macOS's default; forkserver, Linux's from Python 3.14, does the
-    # same) re-imports rbed in each worker and unpickles the task list there
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_spawned_workers_give_the_serial_bytes(tmp_path, method):
+    # spawn (macOS's default) and forkserver (Linux's from Python 3.14)
+    # re-import rbed in each worker and unpickle the task list there
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{method} is not a start method here")
     write_config(tmp_path, "a.json", SMALL)
     write_config(tmp_path, "b.json", {**SMALL, "scheduler": {"kind": "exponential"}})
     argv = ["compare", "--config-a", "a.json", "--config-b", "b.json", "--seeds", "1..3"]
     code = (
         "import multiprocessing\n"
-        "multiprocessing.set_start_method('spawn')\n"
+        f"multiprocessing.set_start_method({method!r})\n"
         "import rbed.runner\n"
         "rbed.runner.usable_cpus = lambda: 2\n"
         "started = []\n"
@@ -1871,7 +1908,7 @@ def test_spawned_workers_give_the_serial_bytes(tmp_path):
         "multiprocessing.Process.start = lambda p: (started.append(p), real_start(p))[1]\n"
         "from rbed.cli import main\n"
         f"assert main({[*argv, '--jobs', '2', '--out', 'spawned']!r}) == 0\n"
-        "assert len(started) == 1 and multiprocessing.get_start_method() == 'spawn'\n"
+        f"assert len(started) == 1 and multiprocessing.get_start_method() == {method!r}\n"
         "assert multiprocessing.active_children() == []\n"
         f"assert main({[*argv, '--jobs', '1', '--out', 'serial']!r}) == 0\n"
     )
