@@ -11,9 +11,8 @@ import functools
 import math
 from bisect import bisect_right
 from math import cos, sin
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .config import AgentConfig
 from .envs import (
     FORCE_MAG,
     GRAVITY,
@@ -28,8 +27,10 @@ from .envs import (
     TabularCartPole,
     cartpole_reset,
 )
-from .metrics import EpisodeRecord
 from .rng import Rng
+
+if TYPE_CHECKING:
+    from .config import AgentConfig
 
 QTable = list  # list[list[float]], shape (n_states, n_actions)
 
@@ -182,10 +183,10 @@ def run_episode(
     epsilon: float,
     params: AgentConfig,
     rng: Rng,
-    episode: int = 0,
-) -> EpisodeRecord:
+) -> tuple[float, int]:
     """One rollout from reset to termination with epsilon held fixed, learning
     with the ``alpha`` and ``gamma`` of ``params``, the run's ``AgentConfig``.
+    Returns the episode's total reward and step count.
 
     A ``TabularCartPole`` episode runs in ``_cartpole_episode``, the hot
     path, which never calls the environment; the tests hold it equal to
@@ -193,8 +194,8 @@ def run_episode(
     ``reference_episode``.
     """
     if isinstance(env, TabularCartPole):
-        return _cartpole_episode(env.discretizer, q, epsilon, params, rng, episode)
-    return reference_episode(env, q, epsilon, params, rng, episode)
+        return _cartpole_episode(env.discretizer, q, epsilon, params, rng)
+    return reference_episode(env, q, epsilon, params, rng)
 
 
 def reference_episode(
@@ -203,17 +204,16 @@ def reference_episode(
     epsilon: float,
     params: AgentConfig,
     rng: Rng,
-    episode: int = 0,
-) -> EpisodeRecord:
+) -> tuple[float, int]:
     """The episode loop as the paper states it: from ``env.reset``, each step
     is ``select_action``, ``env.step`` and ``q_update``, until ``env.step``
-    says done.
+    says done. Returns the total reward and the step count.
 
     Q is updated in place after every step. Schedules advance between
-    episodes, never inside one. Endings the environment flags in its
-    ``truncated`` attribute (time ran out, state still fine) are not treated
-    as value-terminal: the update bootstraps through them so step caps do
-    not poison the values of healthy states.
+    episodes, never inside one. ``env.step`` returns ``(s, reward, done,
+    truncated)``; an ending it flags truncated (time ran out, state still
+    fine) is not treated as value-terminal: the update bootstraps through it
+    so step caps do not poison the values of healthy states.
     """
     s = env.reset(rng)
     total = 0.0
@@ -221,12 +221,12 @@ def reference_episode(
     done = False
     while not done:
         a = select_action(q, s, epsilon, rng)
-        s_next, reward, done = env.step(a)
-        q_update(q, s, a, reward, s_next, done and not env.truncated, params)
+        s_next, reward, done, truncated = env.step(a)
+        q_update(q, s, a, reward, s_next, done and not truncated, params)
         total += reward
         steps += 1
         s = s_next
-    return EpisodeRecord(episode, total, epsilon, steps)
+    return total, steps
 
 
 def _cartpole_episode(
@@ -235,8 +235,7 @@ def _cartpole_episode(
     epsilon: float,
     params: AgentConfig,
     rng: Rng,
-    episode: int,
-) -> EpisodeRecord:
+) -> tuple[float, int]:
     """``run_episode`` on a ``TabularCartPole``: the hot path, one frame per
     episode with the state, the constants and the functions it calls in
     locals.
@@ -338,4 +337,4 @@ def _cartpole_episode(
         n1 = nxt[1]
         row[a] += alpha * (1.0 + gamma * (n1 if n1 > n0 else n0) - row[a])  # a capped step bootstraps
         row = nxt
-    return EpisodeRecord(episode, float(steps), epsilon, steps)
+    return float(steps), steps

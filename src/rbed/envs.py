@@ -136,47 +136,43 @@ class TabularCartPole:
     ``rbed.agent.reference_episode`` runs those two, which are
     ``cartpole_reset`` and ``cartpole_step`` behind the discretizer.
 
-    After each ``step`` the ``truncated`` attribute says whether the episode
-    ended only because of the step cap while the pole was still balanced.
-    Such endings are not value-terminal: the state is as good as any other
-    mid-episode state, the clock just ran out, so learners should keep
-    bootstrapping through them.
+    ``step`` returns ``(s, reward, done, truncated)``, where ``truncated``
+    says the episode ended only because of the step cap while the pole was
+    still balanced. Such endings are not value-terminal: the state is as
+    good as any other mid-episode state, the clock just ran out, so learners
+    should keep bootstrapping through them.
     """
 
     def __init__(self, discretizer) -> None:
         self.discretizer = discretizer
         self.n_states: int = discretizer.n_states
         self.n_actions: int = N_ACTIONS
-        self.truncated: bool = False
         self._state: CartPoleState | None = None
 
     def reset(self, rng) -> int:
         self._state = cartpole_reset(rng)
-        self.truncated = False
         return self.discretizer.index(self._state)
 
-    def step(self, action: int) -> tuple[int, float, bool]:
+    def step(self, action: int) -> tuple[int, float, bool, bool]:
         """``cartpole_step``, then the discretizer. ``cartpole_step`` rejects a
         step from a state that has already ended."""
         if self._state is None:
             raise TerminalStepError("step before reset")
         out = cartpole_step(self._state, action)
         self._state = out.state
-        self.truncated = out.truncated
-        return self.discretizer.index(out.state), out.reward, out.done
+        return self.discretizer.index(out.state), out.reward, out.done, out.truncated
 
 
 class TabularChain:
     """Chain MDP behind the same integer-observation interface.
 
-    Chain episodes only end by reaching the goal, so ``truncated`` stays
-    False.
+    Chain episodes only end by reaching the goal, so ``step``'s
+    ``truncated`` is always False.
     """
 
     def __init__(self, n_states: int) -> None:
         self.n_states = n_states
         self.n_actions = N_ACTIONS
-        self.truncated = False
         self._position: int | None = None
 
     def reset(self, rng) -> int:
@@ -184,9 +180,9 @@ class TabularChain:
         self._position = 0
         return 0
 
-    def step(self, action: int) -> tuple[int, float, bool]:
+    def step(self, action: int) -> tuple[int, float, bool, bool]:
         if self._position is None:
             raise TerminalStepError("step before reset")
         nxt, reward, done = chain_step(self._position, action, self.n_states)
         self._position = nxt
-        return nxt, reward, done
+        return nxt, reward, done, False

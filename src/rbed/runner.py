@@ -35,15 +35,18 @@ def build_env(config: ExperimentConfig):
 def run_seed(rng: Rng, env, q: QTable, schedule, params: AgentConfig, episodes: int) -> tuple[EpisodeRecord, ...]:
     """Episodes 1..``episodes`` of one seed-run, each through ``run_episode``
     at ``schedule.epsilon``; ``schedule`` is anything with ``epsilon`` and an
-    ``update(last_reward)`` that returns the next schedule. ``run_episode`` is
-    looked up in this module at each call, so a wrapper set there (perfbench's
-    tracer sets one) sees every episode."""
+    ``update(last_reward)`` that returns the next schedule. Each record is
+    the episode's number, its ``(total_reward, steps)`` from ``run_episode``
+    and the epsilon in force. ``run_episode`` is looked up in this module at
+    each call, so a wrapper set there (perfbench's tracer sets one) sees
+    every episode."""
     records = []
     append = records.append
     for episode in range(1, episodes + 1):
-        record = run_episode(env, q, schedule.epsilon, params, rng, episode=episode)
-        schedule = schedule.update(record.total_reward)
-        append(record)
+        epsilon = schedule.epsilon
+        total_reward, steps = run_episode(env, q, epsilon, params, rng)
+        schedule = schedule.update(total_reward)
+        append(EpisodeRecord(episode, total_reward, epsilon, steps))
     return tuple(records)
 
 

@@ -314,11 +314,11 @@ def test_chain_rollout_record():
     # greedy on a table that points right everywhere walks straight to goal
     for s in range(env.n_states):
         q[s][RIGHT] = 1.0
-    rec = run_episode(env, q, 0.0, AgentConfig(), Rng(1), episode=7)
-    assert rec.episode == 7
-    assert rec.steps == 4
-    assert rec.total_reward == 1.0
-    assert rec.epsilon == 0.0
+    # run_seed records the episode's number and epsilon; test_harness.py
+    # checks them
+    total_reward, steps = run_episode(env, q, 0.0, AgentConfig(), Rng(1))
+    assert steps == 4
+    assert total_reward == 1.0
 
 
 def test_learning_on_chain_converges_to_closed_form():
@@ -328,8 +328,8 @@ def test_learning_on_chain_converges_to_closed_form():
     q = new_q_table(env.n_states, env.n_actions)
     params = AgentConfig(alpha=0.1, gamma=0.9)
     rng = Rng(99)
-    for ep in range(3000):
-        run_episode(env, q, 1.0, params, rng, episode=ep)
+    for _ in range(3000):
+        run_episode(env, q, 1.0, params, rng)
     for s in range(4):
         assert q[s][RIGHT] == pytest.approx(0.9 ** (3 - s), abs=1e-6)
     assert q[0][RIGHT] == pytest.approx(0.729, abs=1e-6)
@@ -340,10 +340,10 @@ def test_cartpole_reward_equals_steps():
     env = TabularCartPole(d)
     q = new_q_table(env.n_states, env.n_actions)
     rng = Rng(4)
-    for ep in range(20):
-        rec = run_episode(env, q, 1.0, AgentConfig(), rng, episode=ep)
-        assert rec.total_reward == float(rec.steps)
-        assert 1 <= rec.steps <= 200
+    for _ in range(20):
+        total_reward, steps = run_episode(env, q, 1.0, AgentConfig(), rng)
+        assert total_reward == float(steps)
+        assert 1 <= steps <= 200
 
 
 def test_random_policy_episode_length_band():
@@ -355,7 +355,7 @@ def test_random_policy_episode_length_band():
     q = new_q_table(env.n_states, env.n_actions)
     rng = Rng(1234)
     lengths = [
-        run_episode(env, q, 1.0, AgentConfig(), rng, episode=ep).steps for ep in range(300)
+        run_episode(env, q, 1.0, AgentConfig(), rng)[1] for _ in range(300)
     ]
     mean = sum(lengths) / len(lengths)
     assert 15.0 <= mean <= 35.0
@@ -367,13 +367,28 @@ def test_rollout_deterministic_for_seed():
         env = TabularCartPole(d)
         q = new_q_table(env.n_states, env.n_actions)
         rng = Rng(seed)
-        recs = [run_episode(env, q, 0.4, AgentConfig(), rng, episode=ep) for ep in range(30)]
+        recs = [run_episode(env, q, 0.4, AgentConfig(), rng) for _ in range(30)]
         return recs, q
 
     recs_a, q_a = one(17)
     recs_b, q_b = one(17)
     assert recs_a == recs_b
     assert q_a == q_b
+
+
+class _LastStep:
+    """An environment that keeps the tuple of its last ``step``."""
+
+    def __init__(self, env):
+        self._env = env
+        self.last = None
+
+    def reset(self, rng):
+        return self._env.reset(rng)
+
+    def step(self, action):
+        self.last = self._env.step(action)
+        return self.last
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5, 1.0])
@@ -395,7 +410,7 @@ def test_rollout_deterministic_for_seed():
 def test_rollout_matches_hand_rolled_loop(buckets, clips, epsilon):
     # the fused cart-pole loop against reference_episode, which runs
     # select_action, TabularCartPole.step and q_update, on the same rng
-    # stream: records and tables must agree exactly. The fused loop bisects
+    # stream: (reward, steps) and tables must agree exactly. The fused loop bisects
     # a dimension only when its value leaves the kept cell, the reference
     # loop every dimension on every step.
     d = Discretizer(buckets, clips)
@@ -406,11 +421,12 @@ def test_rollout_matches_hand_rolled_loop(buckets, clips, epsilon):
     rng = Rng(42)
     rng2 = Rng(42)
     endings = dict.fromkeys(("fell", "off_track", "cap"), 0)
-    for ep in range(200):
-        got = run_episode(env, q, epsilon, params, rng, episode=ep)
-        assert got == reference_episode(env, q2, epsilon, params, rng2, episode=ep)
+    recorded = _LastStep(env)
+    for _ in range(200):
+        got = run_episode(env, q, epsilon, params, rng)
+        assert got == reference_episode(recorded, q2, epsilon, params, rng2)
         endings[
-            "cap" if env.truncated else "off_track" if abs(env._state.x) > X_THRESHOLD else "fell"
+            "cap" if recorded.last[3] else "off_track" if abs(env._state.x) > X_THRESHOLD else "fell"
         ] += 1
     assert q == q2
     assert rng.next_u64() == rng2.next_u64()  # both consumed the same draws
@@ -473,9 +489,9 @@ def test_fused_loop_across_a_refill(left, epsilon):
         for _ in range(len(r.reserve(0)) - 4 - left):
             r.next_u64()
     assert len(block) == 4 + left
-    for ep in range(3):
-        got = run_episode(env, q, epsilon, params, rng, episode=ep)
-        assert got == reference_episode(env, q2, epsilon, params, rng2, episode=ep)
+    for _ in range(3):
+        got = run_episode(env, q, epsilon, params, rng)
+        assert got == reference_episode(env, q2, epsilon, params, rng2)
     assert rng.reserve(0) is block and len(block) > 4 + left  # refilled in place
     assert q == q2
     assert rng.next_u64() == rng2.next_u64()
@@ -509,23 +525,18 @@ class _CappedStub:
     n_states = 2
     n_actions = 2
 
-    def __init__(self):
-        self.truncated = False
-
     def reset(self, rng):
-        self.truncated = False
         return 0
 
     def step(self, action):
-        self.truncated = True
-        return 1, 1.0, True
+        return 1, 1.0, True, True
 
 
 class _TerminalStub(_CappedStub):
     """Same shape but the ending is a real terminal."""
 
     def step(self, action):
-        return 1, 1.0, True
+        return 1, 1.0, True, False
 
 
 def test_truncated_ending_bootstraps_through():

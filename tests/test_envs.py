@@ -146,11 +146,11 @@ def test_tabular_step_matches_cartpole_step():
             toward = RIGHT if state.theta + 0.5 * state.theta_dot > 0 else LEFT
             action = toward if rng.next_f64() < 0.9 else 1 - toward
             out = cartpole_step(state, action)
-            s, reward, done = env.step(action)
+            s, reward, done, truncated = env.step(action)
             assert tuple(env._state) == tuple(out.state)
-            assert (s, reward, done, env.truncated) == (d.index(out.state), out.reward, out.done, out.truncated)
+            assert (s, reward, done, truncated) == (d.index(out.state), out.reward, out.done, out.truncated)
             state = out.state
-        endings.add("cap" if env.truncated else "x" if abs(state.x) > X_THRESHOLD else "theta")
+        endings.add("cap" if truncated else "x" if abs(state.x) > X_THRESHOLD else "theta")
         with pytest.raises(TerminalStepError):
             env.step(RIGHT)
     assert endings == {"cap", "x", "theta"}
@@ -233,13 +233,12 @@ def test_tabular_chain_adapter():
     assert env.n_states == 5 and env.n_actions == 2
     for _ in range(2):
         assert env.reset(Rng(1)) == 0
-        assert env.step(LEFT) == (0, 0.0, False)
-        assert env.step(RIGHT) == (1, 0.0, False)
-        assert env.step(LEFT) == (0, 0.0, False)
+        assert env.step(LEFT) == (0, 0.0, False, False)
+        assert env.step(RIGHT) == (1, 0.0, False, False)
+        assert env.step(LEFT) == (0, 0.0, False, False)
         for s in (1, 2, 3):
-            assert env.step(RIGHT) == (s, 0.0, False)
-        assert env.step(RIGHT) == (4, 1.0, True)
-        assert env.truncated is False
+            assert env.step(RIGHT) == (s, 0.0, False, False)
+        assert env.step(RIGHT) == (4, 1.0, True, False)  # the goal is value-terminal, never truncated
         with pytest.raises(TerminalStepError):
             env.step(RIGHT)
 

@@ -474,29 +474,37 @@ def test_run_seed_takes_any_schedule_and_learns_into_the_callers_table():
     q = new_q_table(env.n_states, env.n_actions)
     schedule = _ListSchedule(epsilons)
     records = run_seed(Rng(3), env, q, schedule, params, len(epsilons))
+    assert [record.episode for record in records] == list(range(1, len(epsilons) + 1))
     assert [record.epsilon for record in records] == epsilons
     assert schedule.rewards == [record.total_reward for record in records]
-    # the same episodes by hand, on a table of their own
+    # the same episodes by hand, on a table of their own: each record is
+    # the episode's number, its (reward, steps) and the epsilon it ran at
     q2, rng2 = new_q_table(env.n_states, env.n_actions), Rng(3)
-    assert records == tuple(
-        run_episode(env, q2, epsilon, params, rng2, episode=k) for k, epsilon in enumerate(epsilons, 1)
-    )
+    by_hand = []
+    for k, epsilon in enumerate(epsilons, 1):
+        total_reward, steps = run_episode(env, q2, epsilon, params, rng2)
+        by_hand.append(EpisodeRecord(k, total_reward, epsilon, steps))
+    assert records == tuple(by_hand)
     assert q == q2 and q != new_q_table(env.n_states, env.n_actions)
 
 
 def test_run_single_seed_looks_up_run_episode_at_call_time(monkeypatch):
-    # perfbench's tracer counts episodes by replacing rbed.runner.run_episode
-    config = small_config(episodes=7)
+    # perfbench's tracer counts episodes by replacing rbed.runner.run_episode.
+    # Exponential decay runs each episode at its own epsilon, so the epsilon
+    # each call receives names its episode
+    config = small_config(episodes=7, scheduler={"kind": "exponential", "decay_rate": 0.9})
     want = run_single_seed(config, 4)
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["episode"])
-        return run_episode(*args, **kwargs)
+    def counted(env, q, epsilon, params, rng):
+        result = run_episode(env, q, epsilon, params, rng)
+        calls.append((epsilon, result))
+        return result
 
     monkeypatch.setattr(rbed.runner, "run_episode", counted)
     assert run_single_seed(config, 4) == want
-    assert calls == list(range(1, 8))
+    assert calls == [(record.epsilon, (record.total_reward, record.steps)) for record in want.records]
+    assert len({epsilon for epsilon, _ in calls}) == 7
 
 
 def test_seeds_produce_distinct_runs():
@@ -1843,6 +1851,12 @@ def test_import_loads_no_network_or_pool_modules():
     assert _rbed(added) == ["rbed", "rbed.cli"]
     assert _unused(added) == []
     assert _rbed(_modules_loaded_by("import rbed")) == ["rbed"]
+
+
+def test_learning_core_loads_no_harness_module():
+    # episodes return (reward, steps) and run_seed builds the records, so
+    # the agent needs neither config, schedules nor metrics at run time
+    assert _rbed(_modules_loaded_by("import rbed.agent")) == ["rbed", "rbed.agent", "rbed.envs", "rbed.rng"]
 
 
 def test_each_command_loads_only_the_layers_it_runs(tmp_path):
