@@ -358,7 +358,9 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 def config_from_json(text: str) -> ExperimentConfig:
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ConfigError:  # a duplicate key
+        raise
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
         raise ConfigError(f"invalid JSON: {exc}") from exc
     return config_from_dict(data)
 

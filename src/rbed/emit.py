@@ -10,7 +10,7 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .metrics import SOLVED_THRESHOLD, SOLVED_WINDOW, AggregateCurves, RunResult, aggregate_runs
 
@@ -18,7 +18,7 @@ if TYPE_CHECKING:
     from .runner import ArmReport, ComparisonReport
 
 RUN_HEADER = "episode,reward,epsilon,steps"
-AGGREGATE_HEADER = "episode,mean_reward,mean_rolling100,mean_epsilon"
+AGGREGATE_HEADER = f"episode,mean_reward,mean_rolling{SOLVED_WINDOW},mean_epsilon"
 
 FIGURE_NAMES = ("reward.svg", "rolling.svg", "epsilon.svg")
 
@@ -28,9 +28,10 @@ def _fmt(value: float) -> str:
 
 
 def _run_file(name: str) -> bool:
-    """Whether the run layout writes ``name``: ``run_<seed>.csv`` or ``aggregate.csv``."""
+    """Whether the run layout writes ``name``: ``run_<seed>.csv``, the seed as ``str``
+    writes it (so no leading zero or non-ASCII digit), or ``aggregate.csv``."""
     seed = name[4:-4] if name.startswith("run_") and name.endswith(".csv") else ""
-    return name == "aggregate.csv" or seed.isdecimal()
+    return name == "aggregate.csv" or (seed.isdecimal() and str(int(seed)) == seed)
 
 
 # What a command may replace in an existing output directory: a test for the
@@ -151,9 +152,8 @@ def run_csv(run: RunResult) -> str:
 
 def aggregate_csv(curves: AggregateCurves) -> str:
     lines = [AGGREGATE_HEADER]
-    window = curves.window
     for episode, (reward, epsilon) in enumerate(zip(curves.mean_reward, curves.mean_epsilon), 1):
-        rolling = _fmt(curves.mean_rolling[episode - window]) if episode >= window else ""
+        rolling = _fmt(curves.mean_rolling[episode - SOLVED_WINDOW]) if episode >= SOLVED_WINDOW else ""
         lines.append(f"{episode},{_fmt(reward)},{rolling},{_fmt(epsilon)}")
     return "\n".join(lines) + "\n"
 
@@ -220,12 +220,11 @@ def render_figures(labeled_curves: Sequence[tuple[str, AggregateCurves]]) -> dic
         y_label="reward",
         series=[Series(label, 1, c.mean_reward) for label, c in labeled_curves],
     )
-    rolling_series = [Series(label, c.window, c.mean_rolling) for label, c in labeled_curves if c.mean_rolling]
-    window = labeled_curves[0][1].window
+    rolling_series = [Series(label, SOLVED_WINDOW, c.mean_rolling) for label, c in labeled_curves if c.mean_rolling]
     rolling = line_chart(
-        title=f"Rolling mean reward (window {window})",
+        title=f"Rolling mean reward (window {SOLVED_WINDOW})",
         x_label="episode",
-        y_label=f"mean reward, last {window} episodes",
+        y_label=f"mean reward, last {SOLVED_WINDOW} episodes",
         # Too few episodes for a full window: chart just the reference level.
         series=rolling_series or [Series("(no full window)", 1, [0.0])],
         ref_y=SOLVED_THRESHOLD,
@@ -253,7 +252,8 @@ def _finite(path: Path, episode: int, text: str) -> float:
 
 
 def read_aggregate_csv(path: Path) -> AggregateCurves:
-    """Parse an aggregate CSV back into curves (for the plot command)."""
+    """Parse an aggregate CSV back into curves (for the plot command). Its rolling
+    cell is blank exactly for the episodes below the solved rule's window."""
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -264,7 +264,6 @@ def read_aggregate_csv(path: Path) -> AggregateCurves:
     mean_reward: list[float] = []
     mean_rolling: list[float] = []
     mean_epsilon: list[float] = []
-    window: Optional[int] = None
     for expected, line in enumerate(lines[1:], start=1):
         fields = line.split(",")
         if len(fields) != 4:
@@ -278,19 +277,16 @@ def read_aggregate_csv(path: Path) -> AggregateCurves:
         reward, rolling, epsilon = (_finite(path, episode, text) if text else None for text in fields[1:])
         if reward is None or epsilon is None:
             raise ValueError(f"{path}: episode {episode}: blank mean reward or epsilon")
+        early = episode < SOLVED_WINDOW
+        if (rolling is None) != early:
+            need = "blank before" if early else "filled from"
+            raise ValueError(f"{path}: episode {episode}: the rolling mean must be {need} episode {SOLVED_WINDOW}")
         mean_reward.append(reward)
         if rolling is not None:
-            if window is None:
-                window = episode
             mean_rolling.append(rolling)
-        elif window is not None:
-            raise ValueError(f"{path}: blank rolling mean at episode {episode} after episode {window}")
         mean_epsilon.append(epsilon)
     return AggregateCurves(
-        mean_reward=tuple(mean_reward),
-        mean_rolling=tuple(mean_rolling),
-        mean_epsilon=tuple(mean_epsilon),
-        window=window if window is not None else SOLVED_WINDOW,
+        mean_reward=tuple(mean_reward), mean_rolling=tuple(mean_rolling), mean_epsilon=tuple(mean_epsilon)
     )
 
 

@@ -34,14 +34,14 @@ class RunResult(NamedTuple):
 class AggregateCurves(NamedTuple):
     """Pointwise means across runs.
 
-    ``mean_rolling`` starts at episode ``window`` (no value is defined for a
-    partial window), so its first entry belongs to that episode.
+    ``mean_rolling`` starts at episode ``window``, the solved rule's (no value is
+    defined for a partial window), so its first entry belongs to that episode.
     """
 
     mean_reward: tuple[float, ...]
     mean_rolling: tuple[float, ...]
     mean_epsilon: tuple[float, ...]
-    window: int = SOLVED_WINDOW
+    window = SOLVED_WINDOW  # a class constant, not a field
 
 
 def rolling_mean(series: Sequence[float], window: int) -> list[float]:
@@ -95,10 +95,11 @@ def solve_count(runs: Sequence[RunResult]) -> int:
     return sum(1 for run in runs if run.solved_at is not None)
 
 
-def aggregate_runs(runs: Sequence[RunResult], window: int = SOLVED_WINDOW) -> AggregateCurves:
+def aggregate_runs(runs: Sequence[RunResult]) -> AggregateCurves:
     """Average the per-episode reward, rolling mean, and epsilon across runs.
 
-    The rolling mean is computed per run first, then averaged pointwise.
+    The rolling mean, over the solved rule's window, is computed per run
+    first, then averaged pointwise.
     Cross-run means use exact summation, so the result does not depend on
     run order. All runs must have the same episode count.
     """
@@ -113,7 +114,6 @@ def aggregate_runs(runs: Sequence[RunResult], window: int = SOLVED_WINDOW) -> Ag
     rewards = [[r.total_reward for r in run.records] for run in runs]
     return AggregateCurves(
         mean_reward=_pointwise_mean(rewards),
-        mean_rolling=_pointwise_mean(rolling_mean(series, window) for series in rewards),
+        mean_rolling=_pointwise_mean(rolling_mean(series, SOLVED_WINDOW) for series in rewards),
         mean_epsilon=_pointwise_mean([r.epsilon for r in run.records] for run in runs),
-        window=window,
     )

@@ -179,10 +179,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     return run_tasks([(run_single_seed, (config, seed)) for seed in config.seeds], jobs)
 
 
-def first_reaching(records, mark: float = REACH_MARK) -> Optional[int]:
-    """Episode of the first reward at or above the mark, if any."""
+def first_reaching(records) -> Optional[int]:
+    """Episode of the first reward at or above ``REACH_MARK``, if any."""
     for record in records:
-        if record.total_reward >= mark:
+        if record.total_reward >= REACH_MARK:
             return record.episode
     return None
 

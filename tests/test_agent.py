@@ -9,6 +9,7 @@ import rbed.agent
 from rbed.agent import (
     Discretizer,
     _edges,
+    bucket,
     new_q_table,
     q_update,
     reference_episode,
@@ -59,8 +60,9 @@ def test_out_of_range_values_land_in_edge_buckets():
 
 def test_clip_boundary_goes_to_edge_bucket():
     d = Discretizer((4, 1, 1, 1), (2.0, 1.0, 1.0, 1.0))
-    assert d.index((2.0, 0.0, 0.0, 0.0)) == 3
-    assert d.index((-2.0, 0.0, 0.0, 0.0)) == 0
+    # at and beyond a clip, bucket's clamp and index's bisect give the edge cell
+    for value, cell in ((-2.0, 0), (-2.5, 0), (-math.inf, 0), (2.0, 3), (2.5, 3), (math.inf, 3)):
+        assert bucket(value, 2.0, 4) == d.index((value, 0.0, 0.0, 0.0)) == cell
     # just inside the positive clip still maps to the top bucket
     assert d.index((1.999999, 0.0, 0.0, 0.0)) == 3
 

@@ -56,8 +56,9 @@ from rbed.emit import (
     run_csv,
 )
 from rbed.envs import TabularCartPole, TabularChain
-from rbed.metrics import EpisodeRecord, RunResult, aggregate_runs
+from rbed.metrics import SOLVED_WINDOW, EpisodeRecord, RunResult, aggregate_runs
 from rbed.runner import (
+    REACH_MARK,
     build_env,
     compare,
     first_reaching,
@@ -310,6 +311,23 @@ def test_validate_config_direct():
     # a nested config is checked as a field of the config that holds it
     with pytest.raises(ConfigError, match="^scheduler.epsilon_start must be <= 1.0, got 2.0$"):
         ExperimentConfig(scheduler=RbedConfig(epsilon_start=2.0))
+    # a nested config of the wrong class is named with the classes it may be
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(scheduler=AgentConfig())
+    assert str(exc.value) == (
+        f"scheduler must be RbedConfig or ExponentialConfig or ConstantConfig, got {AgentConfig()!r}"
+    )
+
+
+def test_parse_names_non_objects_and_overflowing_floats():
+    with pytest.raises(ConfigError, match="^agent must be an object, got list$"):
+        config_from_dict({"agent": []})
+    with pytest.raises(ConfigError, match="^config must be an object, got list$"):
+        config_from_json("[]")
+    # an integer in a float field that no float can hold
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"agent": {"alpha": 10**400}})
+    assert str(exc.value) == f"agent.alpha must be a finite number, got {10**400}"
 
 
 def test_make_checks_the_config():
@@ -916,11 +934,11 @@ def test_run_experiment_validates():
 def test_first_reaching():
     records = [
         EpisodeRecord(episode=i, total_reward=r, epsilon=0.5, steps=int(r))
-        for i, r in enumerate([50.0, 200.0, 120.0, 200.0], start=1)
+        for i, r in enumerate([50.0, 199.99999999999997, 200.0, 120.0, 200.0], start=1)
     ]
-    assert first_reaching(records) == 2
-    assert first_reaching(records, mark=100.0) == 2
-    assert first_reaching(records, mark=201.0) is None
+    assert REACH_MARK == 200.0  # a capped cart-pole episode
+    assert first_reaching(records) == 3
+    assert first_reaching(records[:2]) is None
     assert first_reaching([]) is None
 
 
@@ -1012,14 +1030,10 @@ def test_run_csv_exact_bytes():
 
 
 def test_aggregate_csv_blank_rolling_before_window():
-    runs = [fabricated_run(1, 4), fabricated_run(2, 4)]
-    curves = aggregate_runs(runs, window=3)
-    lines = aggregate_csv(curves).splitlines()
-    assert lines[0] == AGGREGATE_HEADER
-    assert lines[1].split(",")[2] == ""
-    assert lines[2].split(",")[2] == ""
-    assert lines[3].split(",")[2] == "20.0"  # mean of episodes 1..3
-    assert len(lines) == 5
+    runs = [fabricated_run(1, 101), fabricated_run(2, 101)]
+    lines = aggregate_csv(aggregate_runs(runs)).splitlines()
+    assert lines[0] == AGGREGATE_HEADER == "episode,mean_reward,mean_rolling100,mean_epsilon"
+    assert [line.split(",")[2] for line in lines[1:]] == [""] * 99 + ["505.0", "515.0"]
 
 
 def test_emit_results_layout(tmp_path):
@@ -1042,16 +1056,14 @@ def test_emission_is_reproducible(tmp_path):
 
 
 def test_aggregate_csv_round_trip(tmp_path):
-    config = small_config()
-    curves = aggregate_runs(run_experiment(config), window=10)
+    config = small_config(episodes=120)
+    curves = aggregate_runs(run_experiment(config))
     path = tmp_path / "aggregate.csv"
     path.write_text(aggregate_csv(curves))
     back = read_aggregate_csv(path)
     # repr floats survive the round trip bit for bit
-    assert back.mean_reward == curves.mean_reward
-    assert back.mean_rolling == curves.mean_rolling
-    assert back.mean_epsilon == curves.mean_epsilon
-    assert back.window == 10
+    assert back == curves
+    assert len(back.mean_rolling) == 120 - SOLVED_WINDOW + 1
 
 
 def test_read_aggregate_rejects_foreign_csv(tmp_path):
@@ -1061,11 +1073,24 @@ def test_read_aggregate_rejects_foreign_csv(tmp_path):
         read_aggregate_csv(path)
 
 
+def aggregate_rows(rolling):
+    """Aggregate CSV rows for episodes 1, 2, ..., one for each rolling cell."""
+    return [f"{episode},1.0,{cell},1.0" for episode, cell in enumerate(rolling, 1)]
+
+
+_FILLED_FROM = "the rolling mean must be filled from episode 100"
+_BLANK_BEFORE = "the rolling mean must be blank before episode 100"
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [
         (["1,1.0,,1.0", "2,1.0,,1.0", "4,1.0,1.0,1.0"], "episode 4 where 3"),
-        (["1,1.0,,1.0", "2,1.0,1.0,1.0", "3,1.0,,1.0"], "blank rolling mean at episode 3"),
+        (aggregate_rows([""] * 99 + ["1.0", "1.0", ""]), f"episode 102: {_FILLED_FROM}"),
+        (aggregate_rows([""] * 100), f"episode 100: {_FILLED_FROM}"),
+        (aggregate_rows(["1.0"]), f"episode 1: {_BLANK_BEFORE}"),
+        (aggregate_rows([""] * 49 + ["1.0"]), f"episode 50: {_BLANK_BEFORE}"),
+        (["1,1.0,1.0"], "malformed row '1,1.0,1.0'"),
         (["1,inf,,1.0"], "episode 1: 'inf' is not a finite number"),
         (["1,1.0,,1.0", "2,1.0,-inf,1.0"], "episode 2: '-inf' is not a finite number"),
         (["1,1.0,,nan"], "episode 1: 'nan' is not a finite number"),
@@ -1075,7 +1100,8 @@ def test_read_aggregate_rejects_foreign_csv(tmp_path):
         (["1,1.0,,1.0\xff"], "can't decode byte 0xff"),
     ],
     ids=[
-        "episode_gap", "rolling_gap", "inf_reward", "minus_inf_rolling", "nan_epsilon",
+        "episode_gap", "rolling_gap", "blank_rolling_at_window", "rolling_at_episode_1",
+        "rolling_at_episode_50", "three_cells", "inf_reward", "minus_inf_rolling", "nan_epsilon",
         "text_reward", "text_episode", "blank_reward", "not_utf8",
     ],
 )
@@ -1167,8 +1193,8 @@ def polylines(svg_text):
 
 
 def test_render_figures_names_and_structure():
-    config = small_config()
-    curves = aggregate_runs(run_experiment(config), window=10)
+    config = small_config(episodes=120)  # a full window, so the rolling chart is real
+    curves = aggregate_runs(run_experiment(config))
     figures = render_figures([("rbed", curves), ("exponential", curves)])
     assert set(figures) == set(FIGURE_NAMES)
     for name, svg in figures.items():
@@ -1179,9 +1205,11 @@ def test_render_figures_names_and_structure():
 
 
 def test_rolling_figure_has_reference_line():
-    config = small_config()
-    curves = aggregate_runs(run_experiment(config), window=10)
+    config = small_config(episodes=120)
+    curves = aggregate_runs(run_experiment(config))
     svg = render_figures([("x", curves)])["rolling.svg"]
+    assert "Rolling mean reward (window 100)" in svg
+    assert "mean reward, last 100 episodes" in svg
     assert "solved (195)" in svg
     assert "stroke-dasharray" in svg
 
@@ -1471,6 +1499,12 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     not_utf8.write_bytes(b'{"episodes": 1}\xff')
     assert main(["run", "--config", str(not_utf8), "--out", str(tmp_path / "o")]) == 2
     assert f"error: {not_utf8}: 'utf-8' codec" in capsys.readouterr().err
+    # an integer past Python's 4300-digit limit makes json.loads raise a bare
+    # ValueError; a Python without the limit reads it, and alpha overflows
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"agent": {"alpha": 1' + "0" * 5000 + "}}", encoding="utf-8")
+    assert main(["run", "--config", str(huge), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {huge}: ")
     assert not (tmp_path / "o").exists()
 
 
@@ -1523,9 +1557,9 @@ def tree_bytes(root):
 
 def test_cli_run_with_fewer_seeds_leaves_no_stale_run_csv(tmp_path, capsys):
     out = str(tmp_path / "o")
-    for seeds in ("1..5", "1..2"):
+    for seeds in ("0..10", "0..1"):  # run_0.csv and run_10.csv are files rbed writes
         assert main(["run", "--out", out, "--seeds", seeds, "--episodes", "3", "--jobs", "1"]) == 0
-    assert sorted(os.listdir(out)) == ["aggregate.csv", "run_1.csv", "run_2.csv"]
+    assert sorted(os.listdir(out)) == ["aggregate.csv", "run_0.csv", "run_1.csv"]
     assert os.listdir(tmp_path) == ["o"]  # no staging or set-aside tree is left
 
 
@@ -1550,9 +1584,16 @@ def test_cli_run_over_a_compare_dir_replaces_the_whole_layout(tmp_path, capsys):
         (["run", "--seeds", "1", "--episodes", "2", "--jobs", "1"], "notes.txt"),
         (["run", "--seeds", "1", "--episodes", "2", "--jobs", "1"], "a/notes.txt"),
         (["run", "--seeds", "1", "--episodes", "2", "--jobs", "1"], "run_x.csv"),
+        # decimal, but not as str writes a seed
+        (["run", "--seeds", "1", "--episodes", "2", "--jobs", "1"], "run_\u0663.csv"),
+        (["run", "--seeds", "1", "--episodes", "2", "--jobs", "1"], "run_\uff10.csv"),
+        (["run", "--seeds", "1", "--episodes", "2", "--jobs", "1"], "run_007.csv"),
         (["plot", "--in", "results"], "aggregate.csv"),
     ],
-    ids=["run_beside_notes", "run_beside_a_notes", "run_beside_foreign_csv", "plot_into_a_run"],
+    ids=[
+        "run_beside_notes", "run_beside_a_notes", "run_beside_foreign_csv", "run_beside_arabic_indic_digit",
+        "run_beside_fullwidth_digit", "run_beside_leading_zeros", "plot_into_a_run",
+    ],
 )
 def test_cli_refuses_an_out_holding_other_files(tmp_path, capsys, command, foreign):
     assert main(["run", "--seeds", "1", "--episodes", "2", "--jobs", "1", "--out", str(tmp_path / "results")]) == 0
@@ -1584,6 +1625,27 @@ def test_interrupted_emit_leaves_the_old_tree(tmp_path, monkeypatch):
         emit_results([fabricated_run(1, n=5), fabricated_run(2, n=5)], out)
     assert tree_bytes(out) == before
     assert os.listdir(tmp_path) == ["o"]
+
+
+def test_a_failed_rename_into_place_puts_the_old_tree_back(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "o"
+    assert main(["run", "--seeds", "1..2", "--episodes", "2", "--jobs", "1", "--out", str(out)]) == 0
+    before = tree_bytes(out)
+    real_rename, failed = os.rename, []
+
+    def rename(src, dst):
+        if os.path.basename(src) == "new" and not failed:  # the new tree's rename into place
+            failed.append(dst)
+            raise OSError("rename failed")
+        real_rename(src, dst)
+
+    monkeypatch.setattr(rbed.emit.os, "rename", rename)
+    capsys.readouterr()
+    assert main(["run", "--seeds", "1", "--episodes", "3", "--jobs", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: rename failed\n"
+    assert failed == [os.path.realpath(out)]
+    assert tree_bytes(out) == before
+    assert os.listdir(tmp_path) == ["o"]  # no staging directory is left
 
 
 def test_a_write_takes_a_staging_name_no_earlier_process_left(tmp_path):

@@ -164,21 +164,22 @@ def run_of(seed, rewards, epsilon=0.5):
 
 
 def test_aggregate_two_runs_exact():
-    a = run_of(1, [10.0, 20.0, 30.0], epsilon=1.0)
-    b = run_of(2, [30.0, 40.0, 70.0], epsilon=0.5)
-    agg = aggregate_runs([a, b], window=2)
-    assert agg.mean_reward == (20.0, 30.0, 50.0)
-    assert agg.mean_epsilon == (0.75, 0.75, 0.75)
-    # per-run rolling first: a -> [15, 25], b -> [35, 55]; means (25, 40)
-    assert agg.mean_rolling == (25.0, 40.0)
-    assert agg.window == 2
+    a = run_of(1, [0.0] * 100 + [100.0], epsilon=1.0)
+    b = run_of(2, [4.0] * 100 + [104.0], epsilon=0.5)
+    agg = aggregate_runs([a, b])
+    assert agg.mean_reward == (2.0,) * 100 + (102.0,)
+    assert agg.mean_epsilon == (0.75,) * 101
+    # per-run rolling first, over the solved rule's 100 episodes:
+    # a -> [0, 1], b -> [4, 5]; means (2, 3)
+    assert agg.mean_rolling == (2.0, 3.0)
+    assert agg.window == SOLVED_WINDOW == 100
 
 
 def test_aggregate_single_run_is_identity():
-    a = run_of(1, [5.0, 7.0, 9.0, 11.0])
-    agg = aggregate_runs([a], window=2)
-    assert agg.mean_reward == (5.0, 7.0, 9.0, 11.0)
-    assert agg.mean_rolling == (6.0, 8.0, 10.0)
+    rewards = [float(r) for r in range(1, 103)]
+    agg = aggregate_runs([run_of(1, rewards)])
+    assert agg.mean_reward == tuple(rewards)
+    assert agg.mean_rolling == (50.5, 51.5, 52.5)  # episodes 1..100, 2..101, 3..102
 
 
 def test_aggregate_order_invariant_bitwise():
@@ -214,7 +215,11 @@ def test_aggregate_validation():
 
 def test_aggregate_curves_is_plain_data():
     agg = AggregateCurves(mean_reward=(1.0,), mean_rolling=(), mean_epsilon=(0.5,))
-    assert agg.window == SOLVED_WINDOW
+    # the window is the solved rule's, a constant of the class and not a field
+    assert AggregateCurves._fields == ("mean_reward", "mean_rolling", "mean_epsilon")
+    assert AggregateCurves.window == agg.window == SOLVED_WINDOW
+    with pytest.raises(TypeError):
+        AggregateCurves((1.0,), (), (0.5,), 2)
 
 
 def test_records_pickle_without_field_names_and_are_read_only():
@@ -228,6 +233,6 @@ def test_records_pickle_without_field_names_and_are_read_only():
         run.seed = 8
     with pytest.raises(AttributeError):
         run.records[0].total_reward = 0.0
-    curves = aggregate_runs([run], window=2)
+    curves = aggregate_runs([run])
     with pytest.raises(AttributeError):
         curves.window = 3
