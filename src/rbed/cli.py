@@ -5,8 +5,13 @@ imports none at its top. Each process compiles and executes every module it
 imports, so ``rbed plot`` loads only the emitter, the metrics and the chart
 writer, and ``run`` and ``compare`` load no chart writer. No command loads
 ``dataclasses`` (nor the ``inspect`` behind it): rbed's classes with fields
-are ``NamedTuple``s or plain classes. ``run`` and ``compare`` load the
-emitter before any seed-run, for ``check_out_dir`` to judge ``--out``.
+are ``NamedTuple``s or plain classes.
+
+Before any seed-run, ``run`` and ``compare`` parse ``--seeds`` (once, so the
+arms share one seed tuple), load every config and apply ``--seeds`` and
+``--episodes`` to it, print any ladder warnings in arm order, then load the
+emitter for ``check_out_dir`` to judge ``--out``. The first of these that
+fails ends the command, so a bad ``--seeds`` is reported before a bad config.
 """
 
 from __future__ import annotations
@@ -18,31 +23,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 if TYPE_CHECKING:
     from .config import ExperimentConfig
     from .runner import ArmReport
-
-
-def _load(path: Optional[str]) -> ExperimentConfig:
-    from .config import config_from_dict, load_config
-
-    if path is None:
-        return config_from_dict({})
-    return load_config(path)
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    """The config fields that ``--seeds`` and ``--episodes`` set. Parsed once
-    per command, so both arms of a compare share one seed tuple."""
-    from .config import parse_seed_spec
-
-    overrides = {}
-    if args.seeds is not None:
-        overrides["seeds"] = parse_seed_spec(args.seeds)
-    if args.episodes is not None:
-        overrides["episodes"] = args.episodes
-    return overrides
-
-
-def _apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    return config._replace(**overrides) if overrides else config
 
 
 def _warn_about_ladder(name: str, config: ExperimentConfig) -> None:
@@ -70,6 +50,28 @@ def _warn_about_ladder(name: str, config: ExperimentConfig) -> None:
         )
 
 
+def _configs(args: argparse.Namespace, arms: Sequence[tuple[Optional[str], str]]) -> list[ExperimentConfig]:
+    """The checked configs of ``run`` or ``compare``, one per ``(config path
+    or None for the defaults, warning name)`` arm, in the order the module
+    docstring gives; ``--out`` is judged last."""
+    from .config import config_from_dict, load_config, parse_seed_spec
+
+    overrides = {}
+    if args.seeds is not None:
+        overrides["seeds"] = parse_seed_spec(args.seeds)
+    if args.episodes is not None:
+        overrides["episodes"] = args.episodes
+    configs = [config_from_dict({}) if path is None else load_config(path) for path, _ in arms]
+    if overrides:
+        configs = [config._replace(**overrides) for config in configs]
+    for (_, name), config in zip(arms, configs):
+        _warn_about_ladder(name, config)
+    from .emit import check_out_dir
+
+    check_out_dir(args.out)
+    return configs
+
+
 def _summarize_arm(arm: ArmReport) -> str:
     mean_solve = f"{arm.mean_solve_episode:.1f}" if arm.mean_solve_episode is not None else "-"
     mean_200 = f"{arm.mean_first_200:.1f}" if arm.mean_first_200 is not None else "-"
@@ -83,11 +85,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     from .metrics import solve_count
     from .runner import run_experiment, usable_cpus
 
-    config = _apply_overrides(_load(args.config), _overrides(args))
-    _warn_about_ladder(args.config or "the default config", config)
-    from .emit import check_out_dir, emit_results
+    (config,) = _configs(args, [(args.config, args.config or "the default config")])
+    from .emit import emit_results
 
-    check_out_dir(args.out)
     results = run_experiment(config, jobs=args.jobs or usable_cpus())
     written = emit_results(results, args.out)
     print(f"ran {len(results)} seed(s) x {config.episodes} episodes ({config.scheduler.kind})")
@@ -98,14 +98,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from .runner import compare, usable_cpus
 
-    overrides = _overrides(args)
-    config_a = _apply_overrides(_load(args.config_a), overrides)
-    config_b = _apply_overrides(_load(args.config_b), overrides)
-    _warn_about_ladder(f"arm a ({args.config_a})", config_a)
-    _warn_about_ladder(f"arm b ({args.config_b})", config_b)
-    from .emit import check_out_dir, emit_compare
+    config_a, config_b = _configs(
+        args, [(args.config_a, f"arm a ({args.config_a})"), (args.config_b, f"arm b ({args.config_b})")]
+    )
+    from .emit import emit_compare
 
-    check_out_dir(args.out)
     report = compare(config_a, config_b, jobs=args.jobs or usable_cpus())
     emit_compare(report, args.out)
     print(_summarize_arm(report.a))

@@ -211,9 +211,6 @@ def render_figures(labeled_curves: Sequence[tuple[str, AggregateCurves]]) -> dic
     """Build the three benchmark charts as SVG strings keyed by filename."""
     from .svgchart import Series, line_chart
 
-    if not labeled_curves:
-        raise ValueError("render_figures needs at least one curve set")
-
     reward = line_chart(
         title="Mean episode reward",
         x_label="episode",
@@ -261,6 +258,8 @@ def read_aggregate_csv(path: Path) -> AggregateCurves:
     lines = [line for line in text.split("\n") if line]
     if not lines or lines[0] != AGGREGATE_HEADER:
         raise ValueError(f"{path} is not an aggregate CSV (bad header)")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no episode rows")
     mean_reward: list[float] = []
     mean_rolling: list[float] = []
     mean_epsilon: list[float] = []

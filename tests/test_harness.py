@@ -24,7 +24,7 @@ import rbed.config
 import rbed.emit
 import rbed.runner
 from rbed.agent import new_q_table, run_episode
-from rbed.cli import _apply_overrides, _overrides, main
+from rbed.cli import _configs, main
 from rbed.config import (
     MAX_RETURN,
     MAX_STATES,
@@ -394,11 +394,14 @@ def test_built_configs_are_not_checked_again(schema_checks):
     assert schema_checks == []
 
 
-def test_cli_overrides_are_checked_once(schema_checks):
-    config = small_config()
+def test_cli_overrides_are_checked_once(tmp_path, schema_checks):
+    path = write_config(tmp_path, "c.json", SMALL)
+    loaded = load_config(path)
     schema_checks.clear()
-    config = _apply_overrides(config, _overrides(argparse.Namespace(seeds="1..3", episodes=2)))
-    assert schema_checks == [config]
+    args = argparse.Namespace(seeds="1..3", episodes=2, out=str(tmp_path / "o"))
+    (config,) = _configs(args, [(path, path)])
+    # one walk per built config: the loaded one and the overridden one
+    assert schema_checks == [loaded, config]
     assert (config.seeds, config.episodes) == ((1, 2, 3), 2)
 
 
@@ -1098,11 +1101,12 @@ _BLANK_BEFORE = "the rolling mean must be blank before episode 100"
         (["x,1.0,,1.0"], "episode 'x' is not an integer"),
         (["1,,,1.0"], "episode 1: blank mean reward or epsilon"),
         (["1,1.0,,1.0\xff"], "can't decode byte 0xff"),
+        ([], "no episode rows"),
     ],
     ids=[
         "episode_gap", "rolling_gap", "blank_rolling_at_window", "rolling_at_episode_1",
         "rolling_at_episode_50", "three_cells", "inf_reward", "minus_inf_rolling", "nan_epsilon",
-        "text_reward", "text_episode", "blank_reward", "not_utf8",
+        "text_reward", "text_episode", "blank_reward", "not_utf8", "no_rows",
     ],
 )
 def test_read_aggregate_rejects_damaged_rows(tmp_path, capsys, rows, message):
@@ -1524,12 +1528,30 @@ def test_cli_bad_seed_spec_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-4"])
-def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
+def test_cli_run_and_compare_report_bad_seeds_before_a_bad_config(tmp_path, capsys):
+    bad = write_config(tmp_path, "bad.json", {"episodes": 0})
+    out = str(tmp_path / "o")
+    for args in (["run", "--config", bad], ["compare", "--config-a", bad, "--config-b", bad]):
+        assert main([*args, "--seeds", "x", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: bad seed list 'x'\n"
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "jobs, message",
+    [
+        ("0", "must be >= 1, got 0"),
+        ("-4", "must be >= 1, got -4"),
+        ("abc", "invalid int value: 'abc'"),
+        ("1.5", "invalid int value: '1.5'"),
+    ],
+    ids=["0", "-4", "abc", "1.5"],
+)
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs, message):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--out", str(tmp_path / "o"), "--episodes", "1", "--jobs", jobs])
     assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(f"argument --jobs: {message}\n")
     assert not (tmp_path / "o").exists()
 
 
