@@ -98,7 +98,8 @@ class RbedConfig(NamedTuple):
     kind = "rbed"
     epsilon_start: _field(float, ge=0.0, le=1.0) = 1.0
     epsilon_min: _field(float, ge=0.0, le="epsilon_start") = 0.0
-    # counts the decays from epsilon_start to epsilon_min, not reward: see ladder_end
+    # counts the decays from epsilon_start to epsilon_min, not reward; each
+    # decay's threshold is RbedSchedule.threshold's: see ladder_end
     reward_target: _field(float, gt=0.0) = 195.0
     reward_increment: _field(float, gt=0.0) = 1.0
     reward_threshold_init: _field(float) = 0.0
@@ -380,29 +381,32 @@ def ladder_end(config: ExperimentConfig) -> Optional[tuple[float, float]]:
     epsilon_min``).
 
     The walk to ``epsilon_min`` takes ``ceil(reward_target)`` decays, and
-    decay n + 1 needs an episode that pays ``reward_threshold_init + n *
-    reward_increment``. If the last is reachable, the ladder ends at
-    ``epsilon_min`` with the threshold at ``reward_threshold_init +
-    ceil(reward_target) * reward_increment``, which is ``reward_target`` only
-    at increment 1 from 0: ``reward_target`` counts decays, not reward.
-    Otherwise epsilon stalls above ``epsilon_min``; such a config still
-    runs, it just explores more than its ``epsilon_min`` says.
+    decay n + 1 needs an episode that pays the schedule's ``threshold(n)``.
+    If the last is reachable, the ladder ends at ``epsilon_min`` with the
+    threshold at ``threshold(ceil(reward_target))``, which is
+    ``reward_target`` only at increment 1 from 0: ``reward_target`` counts
+    decays, not reward. Otherwise epsilon stalls above ``epsilon_min``; such
+    a config still runs, it just explores more than its ``epsilon_min``
+    says. Either way the threshold is the schedule's own, bit for bit.
     """
     s = config.scheduler
     if not isinstance(s, RbedConfig) or s.epsilon_start == s.epsilon_min:
         return None
-    top = MAX_RETURN[config.environment]
-    needed = decays = math.ceil(s.reward_target)
-    if s.reward_threshold_init + (needed - 1) * s.reward_increment > top:
-        # decays 1..floor(last) + 1 are reachable, fewer than needed (the
-        # clamps keep a rounding of last, or its overflow to inf, from saying
-        # otherwise)
-        last = (top - s.reward_threshold_init) / s.reward_increment
-        decays = 0 if last < 0 else min(math.floor(min(last, needed)) + 1, needed - 1)
+    schedule, top = s.schedule(), MAX_RETURN[config.environment]
+    # the most decays whose thresholds are all within top: thresholds only
+    # rise with the count, so a bisection over it finds the last one
+    needed = math.ceil(s.reward_target)
+    decays, high = 0, needed
+    while decays < high:
+        mid = (decays + high + 1) // 2
+        if schedule.threshold(mid - 1) <= top:
+            decays = mid
+        else:
+            high = mid - 1
     epsilon = s.epsilon_min
     if decays < needed:
         epsilon = s.epsilon_start - decays * (s.epsilon_start - s.epsilon_min) / s.reward_target
-    return epsilon, s.reward_threshold_init + decays * s.reward_increment
+    return epsilon, schedule.threshold(decays)
 
 
 def config_to_dict(config: Any) -> dict:

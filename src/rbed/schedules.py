@@ -22,14 +22,17 @@ class RbedSchedule(NamedTuple):
     Epsilon is lowered by a fixed ``change`` only when the last episode's
     reward met the current threshold, and each decay raises the threshold by
     ``reward_increment``, so the agent has to keep earning its exploitation.
-    A reward far above the threshold still triggers exactly one decay.
+    A reward far above the threshold still triggers exactly one decay. The
+    schedule counts its ``decays``, and ``threshold(n)`` works the threshold
+    of decay n + 1 out from the count, so no rounding piles up in it.
     """
 
     epsilon: float
     epsilon_min: float
-    reward_threshold: float
+    reward_threshold_init: float
     reward_increment: float
     change: float
+    decays: int
 
     @classmethod
     def for_target(
@@ -40,7 +43,8 @@ class RbedSchedule(NamedTuple):
         reward_increment: float = 1.0,
         reward_threshold: float = 0.0,
     ) -> "RbedSchedule":
-        """Derive the decay step from ``reward_target``, a count of decays.
+        """Derive the decay step from ``reward_target``, a count of decays;
+        ``reward_threshold`` is the threshold of the first decay.
 
         The step is sized so that epsilon walks from ``epsilon_start`` down to
         ``epsilon_min`` in ``ceil(reward_target)`` decays, so ``reward_target``
@@ -55,13 +59,24 @@ class RbedSchedule(NamedTuple):
         return cls(
             epsilon=epsilon_start,
             epsilon_min=epsilon_min,
-            reward_threshold=reward_threshold,
+            reward_threshold_init=reward_threshold,
             reward_increment=reward_increment,
             change=(epsilon_start - epsilon_min) / reward_target,
+            decays=0,
         )
 
+    def threshold(self, decays: int) -> float:
+        """The reward that pays for decay ``decays + 1``."""
+        return self.reward_threshold_init + decays * self.reward_increment
+
+    @property
+    def reward_threshold(self) -> float:
+        """The reward that pays for the next decay."""
+        return self.threshold(self.decays)
+
     def update(self, last_reward: float) -> "RbedSchedule":
-        if last_reward < self.reward_threshold:
+        # the method, not the property: one call fewer per episode
+        if last_reward < self.threshold(self.decays):
             return self
         eps = self.epsilon - self.change
         if eps < self.epsilon_min:
@@ -70,9 +85,10 @@ class RbedSchedule(NamedTuple):
         return RbedSchedule(
             eps,
             self.epsilon_min,
-            self.reward_threshold + self.reward_increment,
+            self.reward_threshold_init,
             self.reward_increment,
             self.change,
+            self.decays + 1,
         )
 
 

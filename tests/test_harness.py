@@ -17,7 +17,7 @@ from pathlib import Path
 from xml.sax.saxutils import escape as sax_escape
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rbed.cli
 import rbed.config
@@ -563,14 +563,17 @@ def test_rbed_epsilon_trace_on_chain():
     assert ladder_end(config) == (pytest.approx(eps[2]), 2.0)
 
 
-def _walk_to_stall(config):
-    """The schedule itself, fed the environment's largest return every
-    episode until no crossing is left or epsilon is at its floor."""
-    schedule = config.scheduler.schedule()
-    top = MAX_RETURN[config.environment]
-    while schedule.reward_threshold <= top and schedule.epsilon > schedule.epsilon_min:
-        schedule = schedule.update(top)
-    return schedule
+def _walk_ladder(schedule, top, reward_target):
+    """The schedule itself, fed the return ``top`` for each decay its ladder
+    affords: until it has made ``ceil(reward_target)`` decays or its next
+    threshold is above ``top``. Returns the schedule at the end of the walk
+    and whether some decay on the way held epsilon above its floor."""
+    holds = False
+    while schedule.decays < math.ceil(reward_target) and schedule.reward_threshold <= top:
+        after = schedule.update(top)
+        holds = holds or schedule.epsilon_min < after.epsilon == schedule.epsilon
+        schedule = after
+    return schedule, holds
 
 
 @pytest.mark.parametrize(
@@ -589,6 +592,21 @@ def _walk_to_stall(config):
         ({"environment": "chain", "scheduler": {"epsilon_min": 1.0}}, None),
         ({"scheduler": {"kind": "exponential"}}, None),
         ({"scheduler": {"kind": "constant", "epsilon": 0.5}}, None),
+        # -20 + 200 * 1.1 is 200.00000000000003, above the largest return
+        (
+            {"scheduler": {"reward_target": 201, "reward_increment": 1.1, "reward_threshold_init": -20}},
+            0.004975,
+        ),
+        # the thresholds that 100 and 200 additions of the increment would
+        # reach are above the largest return; the counted ones are within it
+        ({"scheduler": {"reward_target": 101, "reward_increment": 0.05, "reward_threshold_init": 195}}, None),
+        (
+            {
+                "environment": "chain",
+                "scheduler": {"reward_target": 201, "reward_increment": 0.01, "reward_threshold_init": -1},
+            },
+            None,
+        ),
     ],
 )
 def test_stalled_epsilon_matches_the_schedule_walk(data, stops_at):
@@ -596,12 +614,14 @@ def test_stalled_epsilon_matches_the_schedule_walk(data, stops_at):
     # * reward_increment at most the largest return; past it epsilon stops
     config = config_from_dict(data)
     s, end = config.scheduler, ladder_end(config)
-    if stops_at is None:  # no ladder, or one that ends at its floor
-        assert end is None or end[0] == s.epsilon_min
-        if isinstance(s, RbedConfig):
-            assert _walk_to_stall(config).epsilon == pytest.approx(s.epsilon_min, abs=1e-12)
+    if not isinstance(s, RbedConfig):
+        assert end is None
+        return
+    walk, _ = _walk_ladder(s.schedule(), MAX_RETURN[config.environment], s.reward_target)
+    if stops_at is None:  # a ladder that ends at its floor, or never decays
+        assert walk.epsilon == pytest.approx(s.epsilon_min, abs=1e-12)
+        assert end is None or end == (s.epsilon_min, walk.reward_threshold)
     else:
-        walk = _walk_to_stall(config)
         assert end[0] == pytest.approx(stops_at, abs=5e-4)
         assert end == (pytest.approx(walk.epsilon, abs=1e-12), walk.reward_threshold)
 
@@ -646,16 +666,16 @@ def test_a_decay_step_that_cannot_move_epsilon_is_rejected(data):
     environment=st.sampled_from(sorted(MAX_RETURN)),
     epsilons=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
     reward_target=st.floats(0.0, 300.0, exclude_min=True),
-    # eighths, so every threshold the walk adds up is exact
-    eighths=st.tuples(st.integers(1, 64), st.integers(-800, 1600)),
+    increment=st.floats(0.0, exclude_min=True, allow_infinity=False),
+    threshold_init=st.floats(allow_nan=False, allow_infinity=False),
 )
-def test_ladder_end_is_the_schedule_walk(environment, epsilons, reward_target, eighths):
+@example("cartpole", [0.0, 1.0], 10.0, 2.347055321694821, 11.0)
+def test_ladder_end_is_the_schedule_walk(environment, epsilons, reward_target, increment, threshold_init):
     # every decay the ladder affords, each paid for with the largest return,
     # lowers epsilon until it is at its floor, and ladder_end says where the
     # walk ends; a step that holds epsilon anywhere on the way is a config
     # the loader rejects
     epsilon_min, epsilon_start = epsilons
-    increment, threshold_init = eighths[0] / 8, eighths[1] / 8
     scheduler = {
         "epsilon_start": epsilon_start,
         "epsilon_min": epsilon_min,
@@ -663,19 +683,17 @@ def test_ladder_end_is_the_schedule_walk(environment, epsilons, reward_target, e
         "reward_increment": increment,
         "reward_threshold_init": threshold_init,
     }
-    schedule = RbedSchedule.for_target(reward_target, epsilon_start, epsilon_min, increment, threshold_init)
-    top = MAX_RETURN[environment]
-    decays, holds = 0, False
-    while decays < math.ceil(reward_target) and schedule.reward_threshold <= top:
-        after = schedule.update(top)
-        holds = holds or epsilon_min < after.epsilon == schedule.epsilon
-        schedule, decays = after, decays + 1
+    schedule, holds = _walk_ladder(
+        RbedSchedule.for_target(reward_target, epsilon_start, epsilon_min, increment, threshold_init),
+        MAX_RETURN[environment],
+        reward_target,
+    )
     try:
         config = config_from_dict({"environment": environment, "scheduler": scheduler})
     except ConfigError as exc:
         assert str(exc).startswith("scheduler.reward_target must give a decay step")
         # the loader tries two decays whether or not their thresholds are reachable
-        assert holds or decays < 2
+        assert holds or schedule.decays < 2
         return
     assert not holds
     end = ladder_end(config)
@@ -683,7 +701,7 @@ def test_ladder_end_is_the_schedule_walk(environment, epsilons, reward_target, e
         assert end is None
         return
     # the walk subtracts the rounded step once per decay, ladder_end scales it
-    assert end[0] == pytest.approx(schedule.epsilon, rel=0, abs=(decays + 4) * 2**-53)
+    assert end[0] == pytest.approx(schedule.epsilon, rel=0, abs=(schedule.decays + 4) * 2**-53)
     assert end[1] == schedule.reward_threshold
 
 
@@ -1401,11 +1419,9 @@ def test_early_floor_is_the_threshold_after_the_last_decay(scheduler, threshold)
     else:  # no ladder, a stall, or a floor at or past the target
         assert end is None or end[0] > s.epsilon_min or end[1] >= s.reward_target
     if end is not None and end[0] == s.epsilon_min:
-        schedule = s.schedule()
-        for _ in range(math.ceil(s.reward_target)):
-            schedule = schedule.update(MAX_RETURN["cartpole"])
+        schedule, _ = _walk_ladder(s.schedule(), MAX_RETURN["cartpole"], s.reward_target)
         assert schedule.epsilon == pytest.approx(s.epsilon_min, abs=1e-12)
-        assert schedule.reward_threshold == pytest.approx(end[1])
+        assert schedule.reward_threshold == end[1]
         assert (schedule.reward_threshold < s.reward_target) == (threshold is not None)
 
 

@@ -44,9 +44,22 @@ def test_update_fires_on_equal_reward():
 
 
 def test_update_below_threshold_is_identity():
-    s = RbedSchedule(epsilon=0.5, epsilon_min=0.0, reward_threshold=120.0,
-                     reward_increment=1.0, change=1.0 / 195.0)
+    s = RbedSchedule(epsilon=0.5, epsilon_min=0.0, reward_threshold_init=100.0,
+                     reward_increment=1.0, change=1.0 / 195.0, decays=20)
+    assert s.reward_threshold == 120.0
     assert s.update(119.0) is s
+
+
+def test_threshold_counts_decays_instead_of_summing_increments():
+    # thirty additions of 0.1 reach 3.0000000000000013, thirty times 0.1 is
+    # 3.0: the threshold is the count's, so a reward of exactly 3.0 pays for
+    # decay 31 (equality qualifies)
+    s = RbedSchedule.for_target(1000.0, reward_increment=0.1)
+    for _ in range(30):
+        s = s.update(1000.0)
+    assert (s.decays, s.reward_threshold) == (30, 3.0)
+    after = s.update(3.0)
+    assert (after.decays, after.epsilon) == (31, s.epsilon - s.change)
 
 
 def test_single_trigger_per_update():
@@ -152,8 +165,8 @@ def test_exponential_monotone_and_bounded(rewards, rate):
 def test_rbed_below_threshold_bit_identical(rewards):
     # rewards all strictly below the standing threshold leave every field
     # untouched, bit for bit
-    s = RbedSchedule(epsilon=0.7, epsilon_min=0.0, reward_threshold=199.5,
-                     reward_increment=1.0, change=1.0 / 195.0)
+    s = RbedSchedule(epsilon=0.7, epsilon_min=0.0, reward_threshold_init=0.5,
+                     reward_increment=1.0, change=1.0 / 195.0, decays=199)
     t = s
     for r in rewards:
         t = t.update(r)
