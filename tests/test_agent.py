@@ -1,11 +1,13 @@
 """Discretization, action selection, TD updates, and episode rollouts."""
 
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rbed.agent
+import rbed.envs
 from rbed.agent import (
     Discretizer,
     _edges,
@@ -199,6 +201,33 @@ def _grid_and_state(draw):
 def test_index_matches_four_dimension_formula(grid_and_state):
     d, state = grid_and_state
     assert d.index(state) == _parent_index(d, state)
+
+
+@pytest.mark.parametrize(
+    "buckets, clips",
+    [
+        (DEFAULT_BUCKETS, DEFAULT_CLIPS),
+        ((3, 3, 6, 6), DEFAULT_CLIPS),
+        # _edges(5e-324, 4) is (0.0, 0.0, 5e-324): cell 1 is empty
+        ((4, 4, 7, 4), (5e-324, 5e-324, THETA_THRESHOLD, 5e-324)),
+    ],
+    ids=["1x1x7x9", "3x3x6x6", "repeated-edge"],
+)
+def test_bounds_hold_exactly_the_bisected_cell(buckets, clips):
+    # run_episode keeps a cell while its value is within the cell's bounds,
+    # so the bounds must hold a value exactly when bisect_right gives the cell
+    d = Discretizer(buckets, clips)
+    for edges, bounds in zip(d.edges, d.bounds, strict=True):
+        assert bounds == (-math.inf, *edges, math.inf)
+        values = [0.0, -0.0, -math.inf]
+        for edge in edges:
+            values += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+        for v in values:
+            cells = [c for c in range(len(edges) + 1) if bounds[c] <= v < bounds[c + 1]]
+            assert cells == [bisect_right(edges, v)], (edges, v)
+        # within no cell, so the loop bisects them on every step
+        for v in (math.inf, math.nan):
+            assert not any(bounds[c] <= v < bounds[c + 1] for c in range(len(edges) + 1))
 
 
 # -- q table and action selection -------------------------------------------
@@ -519,6 +548,51 @@ def test_fused_episode_refills_only_before_its_first_draw(monkeypatch, buffered,
     d = Discretizer(DEFAULT_BUCKETS, DEFAULT_CLIPS)
     run_episode(TabularCartPole(d), new_q_table(d.n_states, 2), 1.0, AgentConfig(), rng)
     assert seen == [buffered] * refills
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "buckets, clips",
+    [(DEFAULT_BUCKETS, DEFAULT_CLIPS), ((3, 3, 6, 6), DEFAULT_CLIPS)],
+    ids=["1x1x7x9", "3x3x6x6"],
+)
+def test_cartpole_episode_calls_only_the_reset(monkeypatch, buckets, clips, epsilon):
+    # a cart-pole episode inlines the step, the index, the action choice and
+    # the update and pops its draws: it calls cartpole_reset once and none of
+    # the functions whose work it does
+    calls = {}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        calls[name] = 0
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in [
+        (rbed.agent, "cartpole_reset"),
+        (TabularCartPole, "reset"),
+        (TabularCartPole, "step"),
+        (rbed.envs, "cartpole_step"),
+        (rbed.agent, "select_action"),
+        (rbed.agent, "q_update"),
+        (Discretizer, "index"),
+        (Rng, "next_u64"),
+        (Rng, "next_f64"),
+        (Rng, "next_int_below"),
+    ]:
+        counted(owner, name)
+    env = TabularCartPole(Discretizer(buckets, clips))
+    q = new_q_table(env.n_states, env.n_actions)
+    rng = Rng(3)
+    episodes = 20
+    steps = sum(run_episode(env, q, epsilon, AgentConfig(), rng)[1] for _ in range(episodes))
+    assert steps > episodes
+    assert calls.pop("cartpole_reset") == episodes
+    assert calls == dict.fromkeys(calls, 0)
 
 
 class _CappedStub:
