@@ -110,7 +110,7 @@ class RbedConfig(NamedTuple):
             epsilon_start=self.epsilon_start,
             epsilon_min=self.epsilon_min,
             reward_increment=self.reward_increment,
-            reward_threshold=self.reward_threshold_init,
+            reward_threshold_init=self.reward_threshold_init,
         )
 
 

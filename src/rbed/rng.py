@@ -32,8 +32,9 @@ one-at-a-time generator's at the same position.
 The outputs not yet handed out wait in one ``array("Q")`` as packed 64-bit
 words, the next output last; a refill puts its round in front of them.
 ``Rng.reserve(n)`` refills until that array holds at least ``n`` and returns
-it, so a loop that needs at most ``n`` draws pops them from it and gets
-exactly what ``next_u64`` would have given.
+it, and every draw leaves through it: ``next_u64`` pops one, and a loop that
+needs at most ``n`` draws pops them itself and gets exactly what ``next_u64``
+would have given.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from array import array
 from typing import Callable, Optional
 
 _MASK64 = (1 << 64) - 1
-_INV_2_53 = 1.0 / (1 << 53)
 _LANES = 32  # generator copies stepped together
 _LANE_STEPS = 256  # outputs per lane per refill
 _LANE_MASK = sum(_MASK64 << (128 * i) for i in range(_LANES))
@@ -116,7 +116,7 @@ class Rng:
 
     __slots__ = ("_s0", "_s1", "_s2", "_s3", "_block")
 
-    F64_UNIT = _INV_2_53  # next_f64 of the raw draw u is (u >> 11) * F64_UNIT
+    F64_UNIT = 1.0 / (1 << 53)  # next_f64 of the raw draw u is (u >> 11) * F64_UNIT
 
     def __init__(self, seed: int) -> None:
         if not 0 <= seed <= _MASK64:
@@ -162,14 +162,11 @@ class Rng:
 
     def next_u64(self) -> int:
         """Next raw 64-bit output."""
-        block = self._block
-        if not block:
-            self._refill()
-        return block.pop()
+        return self.reserve(1).pop()
 
     def next_f64(self) -> float:
         """Uniform float in [0, 1), on the 53-bit grid."""
-        return (self.next_u64() >> 11) * _INV_2_53
+        return (self.next_u64() >> 11) * self.F64_UNIT
 
     @staticmethod
     def f64_bound(p: float) -> int:

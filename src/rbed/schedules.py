@@ -41,10 +41,10 @@ class RbedSchedule(NamedTuple):
         epsilon_start: float = 1.0,
         epsilon_min: float = 0.0,
         reward_increment: float = 1.0,
-        reward_threshold: float = 0.0,
+        reward_threshold_init: float = 0.0,
     ) -> "RbedSchedule":
         """Derive the decay step from ``reward_target``, a count of decays;
-        ``reward_threshold`` is the threshold of the first decay.
+        ``reward_threshold_init`` is the threshold of the first decay.
 
         The step is sized so that epsilon walks from ``epsilon_start`` down to
         ``epsilon_min`` in ``ceil(reward_target)`` decays, so ``reward_target``
@@ -59,7 +59,7 @@ class RbedSchedule(NamedTuple):
         return cls(
             epsilon=epsilon_start,
             epsilon_min=epsilon_min,
-            reward_threshold_init=reward_threshold,
+            reward_threshold_init=reward_threshold_init,
             reward_increment=reward_increment,
             change=(epsilon_start - epsilon_min) / reward_target,
             decays=0,

@@ -1,6 +1,7 @@
 """Config parsing, experiment orchestration, file emission, and the CLI."""
 
 import argparse
+import ast
 import copy
 import functools
 import json
@@ -1957,6 +1958,28 @@ def test_learning_core_loads_no_harness_module():
     # episodes return (reward, steps) and run_seed builds the records, so
     # the agent needs neither config, schedules nor metrics at run time
     assert _rbed(_modules_loaded_by("import rbed.agent")) == ["rbed", "rbed.agent", "rbed.envs", "rbed.rng"]
+
+
+def test_the_benchmarks_set_up_and_preflight_code_run_from_src():
+    # perfbench/run.py times SETUP_CODE and checks PREFLIGHT_CODE's rbed_file
+    # in fresh interpreters: a rename of a name either imports fails here too,
+    # and not only in a benchmark run
+    tree = ast.parse((REPO / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    code = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("SETUP_CODE", "PREFLIGHT_CODE")
+    }
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+
+    def run(name, *args):
+        return subprocess.run([sys.executable, "-c", code[name], *args], cwd=REPO, env=env, capture_output=True, text=True)
+
+    setup = run("SETUP_CODE", "configs/rbed.json", "configs/exponential.json", "perfbench/workloads/random_policy.json")
+    assert setup.returncode == 0, setup.stderr
+    preflight = run("PREFLIGHT_CODE")
+    assert preflight.returncode == 0, preflight.stderr
+    assert Path(json.loads(preflight.stdout)["rbed_file"]).resolve().is_relative_to((REPO / "src").resolve())
 
 
 def test_each_command_loads_only_the_layers_it_runs(tmp_path):

@@ -28,7 +28,7 @@ def test_init_degenerate_zero_range():
 
 def test_init_custom_values():
     s = RbedSchedule.for_target(
-        100.0, epsilon_start=0.5, epsilon_min=0.1, reward_increment=5.0, reward_threshold=10.0
+        100.0, epsilon_start=0.5, epsilon_min=0.1, reward_increment=5.0, reward_threshold_init=10.0
     )
     assert math.isclose(s.change, 0.004, rel_tol=1e-12)
     assert s.epsilon == 0.5
